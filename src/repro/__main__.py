@@ -625,7 +625,8 @@ def _add_backend_arg(p):
     p.add_argument("--cycle-backend", choices=cycle_backends.BACKEND_NAMES,
                    default=None,
                    help="cycle-tier execution backend (default: "
-                        "REPRO_CYCLE_BACKEND, then python); every "
+                        "REPRO_CYCLE_BACKEND, then the fastest available: "
+                        "native with a C compiler, else python); every "
                         "backend is bit-identical, so results and "
                         "cache keys do not depend on it")
 

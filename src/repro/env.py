@@ -16,8 +16,9 @@ a name in neither is a dead or undocumented knob and fails
 
 ``REPRO_CYCLE_BACKEND`` never changes results or store keys: every
 backend is bit-identical on the configurations it accepts, and a
-config a backend cannot represent exactly routes to ``python`` with a
-one-line warning (see :mod:`repro.uarch.core.backends`).
+config a backend cannot represent exactly routes to ``python`` (with a
+one-line warning when the backend was requested explicitly; see
+:mod:`repro.uarch.core.backends`).
 """
 
 from __future__ import annotations
@@ -55,7 +56,9 @@ KNOBS = {
     "REPRO_TELEMETRY": "spans/metrics switch; fallback on",
     "REPRO_TELEMETRY_DIR": "run-journal directory; fallback no journals",
     "REPRO_CYCLE_BACKEND": "cycle-tier execution backend (python, numpy, "
-                           "native); fallback python",
+                           "native); default fastest available (native, "
+                           "else python); invalid value falls back to "
+                           "python",
     "REPRO_STREAMS": "front-end stream precompute switch; fallback on",
     "REPRO_NATIVE_CACHE_DIR": "compiled-kernel .so cache; fallback "
                               "per-user temp dir",

@@ -41,6 +41,7 @@ SPAN_NAMES = (
 #: conventions: counters end in ``_total``, timings in ``_seconds``,
 #: free-standing gauges in a plain noun.
 METRIC_NAMES = (
+    "repro_cycle_backend_fallbacks_total",
     "repro_cycle_backend_runs_total",
     "repro_faults_injected_total",
     "repro_faults_recovered_total",

@@ -1,10 +1,16 @@
 """Turn a run journal into a human/CI-readable performance report.
 
 ``repro report [journal]`` (see :mod:`repro.__main__`) renders the
-output of :func:`build_report`: where a run's wall time went by phase,
-which fidelity tiers served the jobs, the cache/remote hit rates the
-stores recorded, the slowest jobs, and the remote push-queue depth at
-run end.  ``--json`` emits the report dict itself.
+output of :func:`build_report`: where a run's time went by phase,
+which fidelity tiers and cycle backends served the jobs, the
+cache/remote hit rates the stores recorded, the slowest jobs, and the
+remote push-queue depth at run end.  ``--json`` emits the report dict
+itself.
+
+Phase self times are summed over every process that ran jobs, so the
+phase table divides them by *worker-seconds* — each batch's wall time
+times its worker count — not by wall time; with one worker the two
+are the same.
 """
 
 from __future__ import annotations
@@ -27,6 +33,19 @@ def _walk_phases(node, phases):
         _walk_phases(child, phases)
 
 
+def _walk_backends(node, backends):
+    if node.get("name") == "simulate:cycle":
+        attrs = node.get("attrs") or {}
+        entry = backends.setdefault(attrs.get("backend", "?"),
+                                    {"runs": 0, "fallbacks": {}})
+        entry["runs"] += 1
+        reason = attrs.get("backend_fallback")
+        if reason:
+            entry["fallbacks"][reason] = entry["fallbacks"].get(reason, 0) + 1
+    for child in node.get("children", ()):
+        _walk_backends(child, backends)
+
+
 def build_report(path):
     """Aggregate one journal file into a report dict."""
     records = read_journal(path)
@@ -39,10 +58,12 @@ def build_report(path):
                     if r.get("type") == "summary"), None)
 
     phases = {}
+    backends = {}
     for job in jobs:
         spans = job.get("spans")
         if spans:
             _walk_phases(spans, phases)
+            _walk_backends(spans, backends)
     for batch in batches:
         spans = batch.get("spans")
         if spans:
@@ -89,6 +110,9 @@ def build_report(path):
             "push_queue_depth": None,
         }
         stores = [b["store"] for b in batches if "store" in b]
+    totals["worker_s"] = round(
+        sum((b.get("wall_s") or 0.0) * (b.get("workers") or 1)
+            for b in batches), 6) or totals.get("wall_s")
 
     return {
         "journal": path,
@@ -108,6 +132,7 @@ def build_report(path):
                                   key=lambda kv: -kv[1]["self_s"])
         },
         "tiers": tiers,
+        "backends": backends,
         "stores": stores,
         "slowest": [
             {"workload": j.get("workload"), "label": j.get("label"),
@@ -126,13 +151,14 @@ def render_report(report, top=10):
     run = report["run"]
     totals = report["totals"]
     wall = totals.get("wall_s") or 0.0
+    worker_s = totals.get("worker_s") or wall
     parts.append(
         f"run {run.get('label') or '?'} ({run.get('utc') or '?'}) — "
         f"{report['journal']}")
     status_line = (
         f"status={totals.get('status')}  jobs={totals.get('jobs')}  "
         f"cache hits={totals.get('hits')}  simulated={totals.get('runs')}  "
-        f"wall={wall:.2f}s  span coverage="
+        f"wall={wall:.2f}s  worker-s={worker_s:.2f}  span coverage="
         f"{(totals.get('coverage') or 0.0) * 100:.1f}%  "
         f"push queue={totals.get('push_queue_depth')}")
     if totals.get("retries") or totals.get("failures"):
@@ -157,7 +183,8 @@ def render_report(report, top=10):
             {"phase": name,
              "self s": f"{v['self_s']:.3f}",
              "total s": f"{v['seconds']:.3f}",
-             "% wall": f"{v['self_s'] / wall * 100:.1f}" if wall else "-",
+             "% worker-s": (f"{v['self_s'] / worker_s * 100:.1f}"
+                            if worker_s else "-"),
              "count": str(v["count"])}
             for name, v in report["phases"].items()
         ]
@@ -171,6 +198,16 @@ def render_report(report, top=10):
             for model, v in sorted(report["tiers"].items())
         ]
         parts.append(render_table(rows, title="tier mix"))
+
+    if report.get("backends"):
+        rows = [
+            {"backend": name, "runs": str(v["runs"]),
+             "fallback reasons": ", ".join(
+                 f"{r} x{k}" for r, k in sorted(v["fallbacks"].items()))
+             or "-"}
+            for name, v in sorted(report["backends"].items())
+        ]
+        parts.append(render_table(rows, title="cycle backend"))
 
     for store in report["stores"]:
         lookups = (store.get("hits", 0) or 0) + (store.get("misses", 0) or 0)

@@ -2,12 +2,14 @@
 
 Two tiers share one entry point:
 
-* ``model="cycle"`` — the cycle-accurate staged pipeline
-  (:class:`CycleCore`): explicit :class:`FrontEnd`, :class:`Dispatch`,
-  :class:`IssueQueue`, :class:`Commit` components over a shared
-  :class:`CoreState`, with TMA slot accounting and hotspot sampling as
-  pluggable :class:`Observer` instances.  Bit-identical to the
-  pre-split monolithic simulator.
+* ``model="cycle"`` — the cycle-accurate pipeline
+  (:class:`CycleCore`) over a shared :class:`CoreState`, with TMA slot
+  accounting and hotspot sampling as pluggable :class:`Observer`
+  instances.  Its loop runs on a selectable backend: by default the
+  compiled ``native`` kernel, which also runs the D-side cache
+  hierarchy in C, where a C toolchain exists, else the ``python``
+  golden-reference loop.  Bit-identical to the pre-split monolithic
+  simulator on every backend.
 * ``model="interval"`` — a vectorized interval model
   (:func:`simulate_interval`): batched cache/TLB/branch estimation
   over NumPy arrays plus an analytical cycle estimate.  Roughly an
@@ -89,7 +91,8 @@ def simulate(trace, config, max_cycles=None, warm=True, model="cycle",
     not apply).  ``warm=True`` performs a functional warmup pass first
     so counters reflect steady-state behavior rather than cold-start
     compulsory misses.  ``backend`` picks the cycle-loop execution
-    backend (default: ``REPRO_CYCLE_BACKEND``, then ``python``); every
+    backend (default: ``REPRO_CYCLE_BACKEND``, then the fastest
+    available: ``native`` with a C toolchain, else ``python``); every
     backend is bit-identical, so results are backend-independent.
     Returns a fully populated :class:`~repro.uarch.stats.SimStats`.
     """
@@ -106,6 +109,8 @@ def simulate(trace, config, max_cycles=None, warm=True, model="cycle",
                          observers=observers, backend=backend)
         if sp is not None:
             sp.attrs["backend"] = core.backend
+            if core.backend_fallback is not None:
+                sp.attrs["backend_fallback"] = core.backend_fallback
         telemetry.counter(
             "repro_cycle_backend_runs_total",
             help="Cycle-tier runs by execution backend.",

@@ -10,25 +10,34 @@
  * observers (TMA slot classification, hotspot clockticks) are folded
  * into plain counters, byte-for-byte the way numpy_ev folds them.
  *
- * The D-side hierarchy and the I-side L2 walk stay in Python: every
- * load/store calls back into `MemoryHierarchy.access_data`, and every
- * L1I-miss line calls `inst_miss_walk`, so cache/LRU/DRAM state is
- * maintained by the very same code the reference runs — bit-exactness
- * of the shared levels is by construction, not by reimplementation.
+ * The D-side hierarchy (L1D, the shared L2, the optional L3 and the
+ * DRAM counters) is a port in this file: one `dside_t` per call that
+ * answers exactly two requests — `port_access_data` for a load/store
+ * and `port_inst_miss_walk` for the L2-and-below part of an L1I miss —
+ * with the semantics of `MemoryHierarchy.access_data`/`inst_miss_walk`
+ * over `Cache.access`.  Each set keeps its ways in LRU-first order
+ * (shifted on every touch, like the Python list), so tag order, L2
+ * interference (decreasing foreign tags) and every counter match the
+ * Python reference step for step; tests/test_backend_differential.py
+ * replays request sequences through both.  The kernel calls the port
+ * directly.
  *
- * All parameters travel through one i64 array (layout below, kept in
- * lockstep with native.py's _P_* constants) plus flat data arrays, so
- * the ABI is a single function with void-pointer arguments.
+ * The kernel reads the trace columns in their stored dtypes (int8
+ * kind, int64 addr/pc, int32 dep1/dep2, int16 func) and the stream
+ * byte arrays in place; nothing is copied or widened on the way in.
+ *
+ * Scalars travel through i64 arrays (layouts below, kept in lockstep
+ * with native.py's P_, D_ and C_ constants) plus flat data arrays, so
+ * the ABI is a few functions with plain pointer arguments.
  */
 
 #include <string.h>
 
 typedef long long i64;
 typedef int i32;
+typedef short i16;
+typedef signed char i8;
 typedef unsigned char u8;
-
-typedef i64 (*access_cb)(i64 addr);
-typedef i64 (*walk_cb)(i64 pc, i64 pf_l2);
 
 /* Params array layout — must match native.py. */
 enum {
@@ -50,18 +59,203 @@ enum {
     P_COUNT
 };
 
-void run_kernel(i64 *P,
-                const i32 *kinds, const i64 *addrs, const i64 *pcs,
-                const i32 *dep1, const i32 *dep2, const i32 *funcs,
+/* D-side port descriptor layout — must match native.py.  A header,
+ * then one block of C_FIELDS per level (L1D, L2, L3). */
+enum {
+    D_HAS_L3 = 0, D_L1D_HIT, D_L2_HIT, D_L3_HIT, D_DRAM_LAT,
+    D_L1D_LINE, D_L1I_LINE, D_DRAM_ACCESSES, D_DRAM_BYTES,
+    D_LEVELS
+};
+enum {
+    C_SETS = 0, C_ASSOC, C_SHIFT, C_PERIOD, C_CLOCK, C_FOREIGN,
+    C_ACCESSES, C_MISSES,
+    C_FIELDS
+};
+
+/* One cache level: `tags` is sets x assoc, each row LRU-first with
+ * `fill[set]` ways in use — the layout of `Cache._sets`. */
+typedef struct {
+    i64 *tags, *fill;
+    i64 mask, assoc, shift;
+    i64 period, clock, foreign;
+    i64 accesses, misses;
+} cache_t;
+
+typedef struct {
+    cache_t l1d, l2, l3;
+    int has_l3;
+    i64 l1d_hit, l2_hit, l3_hit, dram_lat, l1d_line, l1i_line;
+    i64 dram_accesses, dram_bytes;
+} dside_t;
+
+static void cache_load(cache_t *c, const i64 *F, i64 *tags, i64 *fill)
+{
+    c->tags = tags;
+    c->fill = fill;
+    c->mask = F[C_SETS] - 1;
+    c->assoc = F[C_ASSOC];
+    c->shift = F[C_SHIFT];
+    c->period = F[C_PERIOD];
+    c->clock = F[C_CLOCK];
+    c->foreign = F[C_FOREIGN];
+    c->accesses = F[C_ACCESSES];
+    c->misses = F[C_MISSES];
+}
+
+static void cache_store(const cache_t *c, i64 *F)
+{
+    F[C_CLOCK] = c->clock;
+    F[C_FOREIGN] = c->foreign;
+    F[C_ACCESSES] = c->accesses;
+    F[C_MISSES] = c->misses;
+}
+
+/* Append `tag` as the set's MRU way, evicting the LRU way when full. */
+static inline void set_push(i64 *set, i64 *fill, i64 assoc, i64 tag)
+{
+    i64 len = *fill;
+    if (len >= assoc) {
+        memmove(set, set + 1, (size_t)(len - 1) * sizeof(i64));
+        set[len - 1] = tag;
+    } else {
+        set[len] = tag;
+        *fill = len + 1;
+    }
+}
+
+/* = Cache.access: returns 1 on hit. */
+static inline int cache_access(cache_t *c, i64 addr)
+{
+    i64 line = addr >> c->shift;
+    i64 si = line & c->mask;
+    i64 *set = c->tags + si * c->assoc;
+    i64 *fill = c->fill + si;
+    i64 len = *fill;
+    int hit = 0;
+    c->accesses++;
+    for (i64 w = 0; w < len; w++) {
+        if (set[w] == line) {  /* LRU update: move to the MRU end */
+            memmove(set + w, set + w + 1,
+                    (size_t)(len - 1 - w) * sizeof(i64));
+            set[len - 1] = line;
+            hit = 1;
+            break;
+        }
+    }
+    if (!hit) {
+        c->misses++;
+        set_push(set, fill, c->assoc, line);
+    }
+    if (c->period && ++c->clock >= c->period) {
+        c->clock = 0;
+        set_push(set, fill, c->assoc, c->foreign);
+        c->foreign--;
+    }
+    return hit;
+}
+
+static void port_load(dside_t *d, const i64 *D, i64 *const *bufs)
+{
+    d->has_l3 = (int)D[D_HAS_L3];
+    d->l1d_hit = D[D_L1D_HIT];
+    d->l2_hit = D[D_L2_HIT];
+    d->l3_hit = D[D_L3_HIT];
+    d->dram_lat = D[D_DRAM_LAT];
+    d->l1d_line = D[D_L1D_LINE];
+    d->l1i_line = D[D_L1I_LINE];
+    d->dram_accesses = D[D_DRAM_ACCESSES];
+    d->dram_bytes = D[D_DRAM_BYTES];
+    cache_load(&d->l1d, D + D_LEVELS, bufs[0], bufs[1]);
+    cache_load(&d->l2, D + D_LEVELS + C_FIELDS, bufs[2], bufs[3]);
+    if (d->has_l3)
+        cache_load(&d->l3, D + D_LEVELS + 2 * C_FIELDS, bufs[4], bufs[5]);
+}
+
+static void port_store(const dside_t *d, i64 *D)
+{
+    D[D_DRAM_ACCESSES] = d->dram_accesses;
+    D[D_DRAM_BYTES] = d->dram_bytes;
+    cache_store(&d->l1d, D + D_LEVELS);
+    cache_store(&d->l2, D + D_LEVELS + C_FIELDS);
+    if (d->has_l3)
+        cache_store(&d->l3, D + D_LEVELS + 2 * C_FIELDS);
+}
+
+/* = MemoryHierarchy.access_data: total latency in cycles. */
+static inline i64 port_access_data(dside_t *d, i64 addr)
+{
+    if (cache_access(&d->l1d, addr))
+        return d->l1d_hit;
+    if (cache_access(&d->l2, addr))
+        return d->l2_hit;
+    if (d->has_l3 && cache_access(&d->l3, addr))
+        return d->l3_hit;
+    d->dram_accesses++;
+    d->dram_bytes += d->l1d_line;
+    return d->dram_lat;
+}
+
+/* = MemoryHierarchy.inst_miss_walk, including the L2 next-line
+ * prefetch probe. */
+static inline i64 port_inst_miss_walk(dside_t *d, i64 addr, i64 prefetch)
+{
+    if (prefetch)
+        cache_access(&d->l2, addr + d->l1i_line);
+    if (cache_access(&d->l2, addr))
+        return d->l2_hit;
+    if (d->has_l3 && cache_access(&d->l3, addr))
+        return d->l3_hit;
+    d->dram_accesses++;
+    d->dram_bytes += d->l1i_line;
+    return d->dram_lat;
+}
+
+/* = FrontEndStreams.apply_warm's L2/L3 replay of the merged warm miss
+ * stream, then the counter reset (the L1D contents are loaded into the
+ * port's arrays by the caller). */
+void port_warm(i64 *D, i64 *const *bufs,
+               const i64 *addrs, const u8 *pfs, i64 n)
+{
+    dside_t d;
+    port_load(&d, D, bufs);
+    for (i64 i = 0; i < n; i++)
+        if (!cache_access(&d.l2, addrs[i]) && !pfs[i] && d.has_l3)
+            cache_access(&d.l3, addrs[i]);
+    d.l1d.accesses = d.l1d.misses = 0;
+    d.l2.accesses = d.l2.misses = 0;
+    d.l3.accesses = d.l3.misses = 0;
+    d.dram_accesses = d.dram_bytes = 0;
+    port_store(&d, D);
+}
+
+/* Drive the port with one request sequence: op 0 = access_data(addr),
+ * op 1 = inst_miss_walk(addr, prefetch[i]).  Latencies go to `lat`.
+ * The differential tests' entry point. */
+void port_replay(i64 *D, i64 *const *bufs, const i8 *ops,
+                 const i64 *addrs, const u8 *prefetch, i64 *lat, i64 n)
+{
+    dside_t d;
+    port_load(&d, D, bufs);
+    for (i64 i = 0; i < n; i++)
+        lat[i] = ops[i] ? port_inst_miss_walk(&d, addrs[i], prefetch[i])
+                        : port_access_data(&d, addrs[i]);
+    port_store(&d, D);
+}
+
+void run_kernel(i64 *P, i64 *D, i64 *const *bufs,
+                const i8 *kinds, const i64 *addrs, const i64 *pcs,
+                const i32 *dep1, const i32 *dep2, const i16 *funcs,
                 const u8 *itlb_miss, const u8 *l1i_hit,
                 const u8 *pf_l2, const u8 *bp_wrong,
                 const i64 *lat_tab,
                 i64 *completion, i64 *ready_after,
                 i64 *iq, i64 *outstanding,
                 i64 *ic, i64 *cc,
-                i64 *tick_fid, i64 *tick_val, i64 *fid_pos,
-                access_cb access_data, walk_cb walk)
+                i64 *tick_fid, i64 *tick_val, i64 *fid_pos)
 {
+    dside_t port;
+    port_load(&port, D, bufs);
+
     const i64 n = P[P_N], limit = P[P_LIMIT];
     const i64 window = P[P_WINDOW], width = P[P_WIDTH];
     const i64 rob_cap = P[P_ROB_CAP], iq_cap = P[P_IQ_CAP];
@@ -73,8 +267,8 @@ void run_kernel(i64 *P,
     const i64 itlb_penalty = P[P_ITLB_PEN];
     const i64 l1d_hit_lat = P[P_L1D_HIT], mshrs = P[P_MSHRS];
     const i64 fbuf_cap = P[P_FBUF_CAP];
-    const i32 KLOAD = (i32)P[P_KLOAD], KSTORE = (i32)P[P_KSTORE];
-    const i32 KPAUSE = (i32)P[P_KPAUSE], KBRANCH = (i32)P[P_KBRANCH];
+    const int KLOAD = (int)P[P_KLOAD], KSTORE = (int)P[P_KSTORE];
+    const int KPAUSE = (int)P[P_KPAUSE], KBRANCH = (int)P[P_KBRANCH];
     const i64 branch_lat = lat_tab[KBRANCH];
 
     i64 cycle = P[P_CYCLE], committed = P[P_COMMITTED];
@@ -103,7 +297,7 @@ void run_kernel(i64 *P,
                 i64 t = completion[committed];
                 if (t < 0 || t > cycle)
                     break;
-                i32 k = kinds[committed];
+                int k = kinds[committed];
                 if (k == KLOAD)
                     lq_used--;
                 else if (k == KSTORE)
@@ -173,17 +367,17 @@ void run_kernel(i64 *P,
                         }
                     }
                 }
-                i32 k = kinds[idx];
+                int k = kinds[idx];
                 if (ready && k == KLOAD && n_out >= mshrs)
                     ready = 0;
                 if (ready) {
                     i64 lat;
                     if (k == KLOAD) {
-                        lat = access_data(addrs[idx]);
+                        lat = port_access_data(&port, addrs[idx]);
                         if (lat > l1d_hit_lat)
                             outstanding[n_out++] = cycle + lat;
                     } else if (k == KSTORE) {
-                        access_data(addrs[idx]);
+                        port_access_data(&port, addrs[idx]);
                         lat = 1;
                     } else if (k == KPAUSE) {
                         lat = pause_latency;
@@ -217,7 +411,7 @@ void run_kernel(i64 *P,
                     block = 2;  /* serialize */
                     break;
                 }
-                i32 k = kinds[disp_next];
+                int k = kinds[disp_next];
                 if (k == KPAUSE && rob_len) {
                     block = 2;
                     break;
@@ -309,8 +503,8 @@ void run_kernel(i64 *P,
                     i64 line = pc >> 6;
                     if (line != last_fetch_line) {
                         i64 tlb_lat = itlb_miss[idx] ? itlb_penalty : 0;
-                        i64 ic_lat = l1i_hit[idx]
-                                ? 0 : walk(pc, (i64)pf_l2[idx]);
+                        i64 ic_lat = l1i_hit[idx] ? 0
+                                : port_inst_miss_walk(&port, pc, pf_l2[idx]);
                         last_fetch_line = line;
                         if (tlb_lat || ic_lat) {
                             fetch_stall_until = cycle + tlb_lat + ic_lat;
@@ -341,7 +535,7 @@ void run_kernel(i64 *P,
         /* Hotspot attribution (= HotspotSampler.on_cycle_end), kept in
          * first-touch order via fid_pos. */
         {
-            i32 fid;
+            int fid;
             if (disp_next > committed)
                 fid = funcs[committed];
             else if (fetch_idx < n)
@@ -377,4 +571,5 @@ void run_kernel(i64 *P,
     P[P_FETCHED] = fetched;
     P[P_N_OUT] = n_out;
     P[P_TICKS] = ticks;
+    port_store(&port, D);
 }

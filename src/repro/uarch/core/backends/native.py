@@ -8,17 +8,26 @@ demand with whatever C compiler the host already has (``cc``/``gcc``/
 ``clang`` — no build-time dependency) into a content-addressed shared
 object under a small on-disk cache, and loaded through :mod:`ctypes`.
 
-The memory machinery stays in Python: the kernel calls back into the
-live :class:`~repro.uarch.hierarchy.MemoryHierarchy` for every
-load/store (``access_data``) and every L1I-miss line walk
-(``inst_miss_walk``), so cache/LRU/DRAM state evolves under the very
-same code the reference runs — the D-side and shared levels are
-bit-exact by construction, not by reimplementation.  Only the pipeline
-arithmetic (commit/issue/dispatch/fetch bookkeeping) crosses into C.
+The D-side hierarchy runs in C too, behind one narrow port
+(:class:`DSidePort`): L1D, the shared L2 with its interference, the
+optional L3 and the DRAM counters, answering the two requests the
+pipeline makes — ``access_data`` for a load/store and
+``inst_miss_walk`` for the L2-and-below part of an L1I miss.  The port
+keeps each set's ways in the same LRU-first order as
+:class:`~repro.uarch.cache.Cache`, so it reproduces the Python
+:class:`~repro.uarch.hierarchy.MemoryHierarchy` step for step; the
+differential tests replay request sequences and generated configs
+through both.  After the run the port writes every level's counters
+back to the state's Python hierarchy, so ``CycleCore._finalize`` reads
+them as usual.
 
-Hosts without a working toolchain simply never have this backend
-available; selection falls back to ``python`` with a one-line warning
-(see :func:`..select_backend`).
+The kernel reads the trace's own columns in their stored dtypes and the
+stream byte arrays by buffer pointer: a native run makes no per-op
+Python lists and keeps no widened copy of the trace.
+
+This is the default backend wherever a C toolchain exists (see
+:func:`..best_backend`).  Hosts without one never have it available,
+and the default quietly resolves to ``python`` there.
 """
 
 from __future__ import annotations
@@ -31,9 +40,11 @@ import subprocess
 import tempfile
 from collections import deque
 from ctypes import c_longlong, c_void_p
+from itertools import chain
 
 from ....env import env_dir
 from ....trace.ops import BRANCH, LOAD, PAUSE, STORE
+from ...hierarchy import MemoryHierarchy
 from ..state import KIND_KEY_LIST
 from .numpy_ev import _BLOCK_NAMES, _FS_NAMES
 
@@ -42,7 +53,7 @@ try:
 except ImportError:  # pragma: no cover - numpy is a core dependency
     np = None
 
-__all__ = ["NativeBackend"]
+__all__ = ["DSidePort", "NativeBackend"]
 
 _KERNEL_SRC = os.path.join(os.path.dirname(__file__), "_cycle_kernel.c")
 _NKINDS = len(KIND_KEY_LIST)
@@ -65,8 +76,13 @@ _NKINDS = len(KIND_KEY_LIST)
  P_N_OUT, P_TICKS) = range(52)
 _NPARAMS = 52
 
-_ACCESS_CB = ctypes.CFUNCTYPE(c_longlong, c_longlong)
-_WALK_CB = ctypes.CFUNCTYPE(c_longlong, c_longlong, c_longlong)
+# D-side port descriptor layout: a header, then C_FIELDS per level
+# (L1D, L2, L3); must match the enums in _cycle_kernel.c.
+(D_HAS_L3, D_L1D_HIT, D_L2_HIT, D_L3_HIT, D_DRAM_LAT,
+ D_L1D_LINE, D_L1I_LINE, D_DRAM_ACCESSES, D_DRAM_BYTES,
+ D_LEVELS) = range(10)
+(C_SETS, C_ASSOC, C_SHIFT, C_PERIOD, C_CLOCK, C_FOREIGN,
+ C_ACCESSES, C_MISSES, C_FIELDS) = range(9)
 
 _lib = None
 _build_error = None
@@ -135,8 +151,12 @@ def _load_library():
             return None
     try:
         lib = ctypes.CDLL(so_path)
-        lib.run_kernel.restype = None
-        lib.run_kernel.argtypes = [c_void_p] * 21 + [_ACCESS_CB, _WALK_CB]
+        for name, nptr in (("run_kernel", 23), ("port_warm", 4),
+                           ("port_replay", 6)):
+            fn = getattr(lib, name)
+            fn.restype = None
+            fn.argtypes = [c_void_p] * nptr + (
+                [] if name == "run_kernel" else [c_longlong])
     except (OSError, AttributeError) as exc:
         _build_error = f"kernel load failed: {exc}"
         return None
@@ -149,36 +169,170 @@ def build_error():
     return _build_error
 
 
-def _marshal_arrays(s):
-    """Trace columns as C-ready arrays, cached on the streams object."""
-    st = s.streams
-    cache = st.kernel
-    if cache is None:
-        cache = st.kernel = {}
-    arrays = cache.get("native")
-    if arrays is None:
-        funcs = np.asarray(s.funcs, dtype=np.int32)
-        arrays = {
-            "kinds": np.asarray(s.kinds, dtype=np.int32),
-            "addrs": np.asarray(s.addrs, dtype=np.int64),
-            "pcs": np.asarray(s.pcs, dtype=np.int64),
-            "dep1": np.asarray(s.dep1s, dtype=np.int32),
-            "dep2": np.asarray(s.dep2s, dtype=np.int32),
-            "funcs": funcs,
-            "itlb": np.frombuffer(st.itlb_miss, dtype=np.uint8),
-            "l1i": np.frombuffer(st.l1i_hit, dtype=np.uint8),
-            "pf": np.frombuffer(st.pf_l2, dtype=np.uint8),
-            "bpw": np.frombuffer(st.bp_wrong, dtype=np.uint8),
-            "max_fid": int(funcs.max(initial=0)),
-        }
-        cache["native"] = arrays
-    return arrays
+def _ptr(a):
+    return a.ctypes.data
+
+
+class DSidePort:
+    """The C D-side hierarchy of one run: a descriptor plus tag arrays.
+
+    A fresh port is the empty hierarchy a new
+    :class:`~repro.uarch.hierarchy.MemoryHierarchy` has.  It then either
+    replays a stream's warm payload itself (:meth:`warm`) or copies the
+    full state of a live Python hierarchy (:meth:`load`).  The kernel
+    drives it through ``port_access_data``/``port_inst_miss_walk``;
+    :meth:`replay` drives the same two requests directly, for the
+    differential tests.  :meth:`write_back` publishes the counters (and,
+    on request, the tag state) to a Python hierarchy.  The tag state
+    itself stays in the port, so a hierarchy written back after a run
+    reports that run's counts but not its cache contents.
+    """
+
+    def __init__(self, config):
+        levels = [(config.l1d, 0), (config.l2, getattr(
+            config, "l2_interference_period", 0))]
+        if config.l3 is not None:
+            levels.append((config.l3, 0))
+        freq = config.freq_ghz
+        D = np.zeros(D_LEVELS + 3 * C_FIELDS, dtype=np.int64)
+        D[D_HAS_L3] = config.l3 is not None
+        D[D_L1D_HIT] = config.l1d.hit_latency
+        D[D_L2_HIT] = config.l2.hit_latency_at(freq)
+        if config.l3 is not None:
+            D[D_L3_HIT] = config.l3.hit_latency_at(freq)
+        D[D_DRAM_LAT] = config.dram_latency_cycles
+        D[D_L1D_LINE] = config.l1d.line
+        D[D_L1I_LINE] = config.l1i.line
+        self.tags = []
+        self.fill = []
+        for j, (cc, period) in enumerate(levels):
+            F = D[D_LEVELS + j * C_FIELDS:]
+            F[C_SETS] = cc.sets
+            F[C_ASSOC] = cc.assoc
+            F[C_SHIFT] = cc.line.bit_length() - 1
+            F[C_PERIOD] = int(period)
+            F[C_FOREIGN] = -1
+            self.tags.append(np.zeros((cc.sets, cc.assoc), dtype=np.int64))
+            self.fill.append(np.zeros(cc.sets, dtype=np.int64))
+        self.D = D
+        ptrs = [_ptr(a) for pair in zip(self.tags, self.fill) for a in pair]
+        self.bufs = np.array(ptrs + [0] * (6 - len(ptrs)), dtype=np.uintp)
+
+    def _level(self, j):
+        """Level *j*'s C_FIELDS block of the descriptor (a view)."""
+        return self.D[D_LEVELS + j * C_FIELDS:]
+
+    def _caches(self, hier):
+        caches = [hier.l1d, hier.l2]
+        if hier.l3 is not None:
+            caches.append(hier.l3)
+        return caches
+
+    def _load_sets(self, j, sets):
+        """Copy a ``Cache._sets``-shaped list of LRU-first lists."""
+        lens = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+        flat = np.fromiter(chain.from_iterable(sets), dtype=np.int64,
+                           count=int(lens.sum()))
+        starts = np.repeat(np.cumsum(lens) - lens, lens)
+        rows = np.repeat(np.arange(len(sets)), lens)
+        self.tags[j][rows, np.arange(flat.size) - starts] = flat
+        self.fill[j][:] = lens
+
+    def warm(self, streams):
+        """Reach the post-warmup state from *streams*' warm payload: the
+        L1D snapshot, then the merged L2 event replay in C, then zeroed
+        counters (= ``FrontEndStreams.apply_warm``)."""
+        if not streams.warm:
+            return
+        self._load_sets(0, streams.l1d_sets)
+        addrs = np.array(streams.l2_addrs, dtype=np.int64)
+        pfs = np.array(streams.l2_pfs, dtype=np.uint8)
+        _load_library().port_warm(_ptr(self.D), _ptr(self.bufs),
+                                  _ptr(addrs), _ptr(pfs), addrs.size)
+
+    def load(self, hier):
+        """Copy the complete state of a live Python hierarchy."""
+        for j, cache in enumerate(self._caches(hier)):
+            self._load_sets(j, cache._sets)
+            F = self._level(j)
+            F[C_CLOCK] = cache._interference_clock
+            F[C_FOREIGN] = cache._foreign_tag
+            F[C_ACCESSES] = cache.accesses
+            F[C_MISSES] = cache.misses
+        self.D[D_DRAM_ACCESSES] = hier.dram_accesses
+        self.D[D_DRAM_BYTES] = hier.dram_bytes
+
+    def replay(self, ops, addrs, prefetch):
+        """Run a request sequence (op 0 = ``access_data(addr)``, op 1 =
+        ``inst_miss_walk(addr, prefetch)``); returns the latencies."""
+        ops = np.ascontiguousarray(ops, dtype=np.int8)
+        addrs = np.ascontiguousarray(addrs, dtype=np.int64)
+        prefetch = np.ascontiguousarray(prefetch, dtype=np.uint8)
+        lat = np.zeros(ops.size, dtype=np.int64)
+        if not addrs.size == prefetch.size == ops.size:
+            raise ValueError("ops, addrs and prefetch differ in length")
+        _load_library().port_replay(
+            _ptr(self.D), _ptr(self.bufs), _ptr(ops), _ptr(addrs),
+            _ptr(prefetch), _ptr(lat), ops.size)
+        return lat.tolist()
+
+    def write_back(self, hier, sets=False):
+        """Publish every level's counters and the DRAM counters to
+        *hier* (all ``CycleCore._finalize`` reads); with ``sets`` also
+        the tags and interference state, for the differential tests."""
+        for j, cache in enumerate(self._caches(hier)):
+            F = self._level(j)
+            cache.accesses = int(F[C_ACCESSES])
+            cache.misses = int(F[C_MISSES])
+            if sets:
+                cache._sets = [row[:k] for row, k in
+                               zip(self.tags[j].tolist(),
+                                   self.fill[j].tolist())]
+                cache._interference_clock = int(F[C_CLOCK])
+                cache._foreign_tag = int(F[C_FOREIGN])
+        hier.dram_accesses = int(self.D[D_DRAM_ACCESSES])
+        hier.dram_bytes = int(self.D[D_DRAM_BYTES])
+
+
+def _port_for(s):
+    """The run's D-side port and the Python hierarchy it reports to.
+
+    A hierarchy nobody has read yet is never built in Python: the port
+    replays the warm payload itself.  One that was read (and so warmed)
+    is copied instead.
+    """
+    port = DSidePort(s.config)
+    hier = s.built_hierarchy()
+    if hier is None:
+        hier = MemoryHierarchy(s.config)
+        if s.warm:
+            port.warm(s.streams)
+        s.hier = hier
+    else:
+        port.load(hier)
+    return port, hier
 
 
 def _run_kernel(lib, s):
-    """Marshal state, run the C loop, write every result back."""
+    """Run the C loop over the trace's own columns; write results back."""
     n = s.n
-    arrays = _marshal_arrays(s)
+    trace = s.trace
+    st = s.streams
+    # Views, not copies: the Trace constructor already fixed each dtype.
+    kinds = np.ascontiguousarray(trace.kind, dtype=np.int8)
+    addrs = np.ascontiguousarray(trace.addr, dtype=np.int64)
+    pcs = np.ascontiguousarray(trace.pc, dtype=np.int64)
+    dep1 = np.ascontiguousarray(trace.dep1, dtype=np.int32)
+    dep2 = np.ascontiguousarray(trace.dep2, dtype=np.int32)
+    funcs = np.ascontiguousarray(trace.func, dtype=np.int16)
+    # ... and the stream bytearrays by buffer pointer.
+    itlb, l1i, pf, bpw = (np.frombuffer(b, dtype=np.uint8) for b in (
+        st.itlb_miss, st.l1i_hit, st.pf_l2, st.bp_wrong))
+    if any(a.size != n for a in (itlb, l1i, pf, bpw)):
+        raise ValueError("front-end streams do not match the trace length")
+    if funcs.min() < 0:
+        raise ValueError("negative function id in the trace")
+    port, hier = _port_for(s)
     lat_tab = np.zeros(_NKINDS, dtype=np.int64)
     for k, v in s.lat_table.items():
         lat_tab[k] = v
@@ -188,7 +342,7 @@ def _run_kernel(lib, s):
     outstanding = np.zeros(max(s.mshrs, 1), dtype=np.int64)
     ic = np.zeros(_NKINDS, dtype=np.int64)
     cc = np.zeros(_NKINDS, dtype=np.int64)
-    nfid = arrays["max_fid"] + 1
+    nfid = int(funcs.max(initial=0)) + 1
     tick_fid = np.zeros(nfid, dtype=np.int64)
     tick_val = np.zeros(nfid, dtype=np.int64)
     fid_pos = np.full(nfid, -1, dtype=np.int64)
@@ -223,26 +377,22 @@ def _run_kernel(lib, s):
     P[P_IQ_BRANCHES] = s.iq_branches
     start_cycle = s.cycle
 
-    access_cb = _ACCESS_CB(s.hier.access_data)
-    walk_cb = _WALK_CB(s.hier.inst_miss_walk)
-    ptr = lambda a: a.ctypes.data  # noqa: E731
     lib.run_kernel(
-        ptr(P),
-        ptr(arrays["kinds"]), ptr(arrays["addrs"]), ptr(arrays["pcs"]),
-        ptr(arrays["dep1"]), ptr(arrays["dep2"]), ptr(arrays["funcs"]),
-        ptr(arrays["itlb"]), ptr(arrays["l1i"]),
-        ptr(arrays["pf"]), ptr(arrays["bpw"]),
-        ptr(lat_tab),
-        ptr(completion), ptr(ready_after),
-        ptr(iq), ptr(outstanding),
-        ptr(ic), ptr(cc),
-        ptr(tick_fid), ptr(tick_val), ptr(fid_pos),
-        access_cb, walk_cb)
+        _ptr(P), _ptr(port.D), _ptr(port.bufs),
+        _ptr(kinds), _ptr(addrs), _ptr(pcs),
+        _ptr(dep1), _ptr(dep2), _ptr(funcs),
+        _ptr(itlb), _ptr(l1i), _ptr(pf), _ptr(bpw),
+        _ptr(lat_tab),
+        _ptr(completion), _ptr(ready_after),
+        _ptr(iq), _ptr(outstanding),
+        _ptr(ic), _ptr(cc),
+        _ptr(tick_fid), _ptr(tick_val), _ptr(fid_pos))
 
     committed = int(P[P_COMMITTED])
     disp_next = int(P[P_DISP_NEXT])
     fetch_idx = int(P[P_FETCH_IDX])
     cycle = int(P[P_CYCLE])
+    port.write_back(hier)
     s.cycle = cycle
     s.committed = committed
     s.fetch_idx = fetch_idx
@@ -254,8 +404,8 @@ def _run_kernel(lib, s):
     s.fetch_stall_kind = _FS_NAMES[int(P[P_FS_KIND])]
     s.redirect_branch = int(P[P_REDIRECT])
     s.iq_branches = int(P[P_IQ_BRANCHES])
-    s.completion = completion.tolist()
-    s.ready_after = ready_after.tolist()
+    s.completion = completion
+    s.ready_after = ready_after
     s.iq = iq[:int(P[P_IQ_LEN])].tolist()
     s.outstanding_misses = outstanding[:int(P[P_N_OUT])].tolist()
     s.rob = deque(range(committed, disp_next))
@@ -301,6 +451,9 @@ class NativeBackend:
     # The kernel folds the default observers into its own counters;
     # CycleCore must not run their finalize pass on top.
     owns_observer_stats = True
+    # The kernel assumes the contiguous-range ROB/fetch buffer of a
+    # fresh core; CycleCore runs a stepped state on python instead.
+    needs_fresh_state = True
 
     @staticmethod
     def available():
@@ -309,23 +462,14 @@ class NativeBackend:
     @staticmethod
     def supports(streams, default_observers):
         if streams is None:
-            return False, "streams disabled or unavailable"
+            return False, "no-streams"
         if not default_observers:
-            return False, "custom observers need per-cycle hook points"
+            return False, "custom-observers"
         return True, None
 
     @staticmethod
     def run(s, dispatch_hooks, cycle_end_hooks):
-        lib = _load_library()
-        if lib is None or s.cycle or s.committed or s.fetch_idx \
-                or s.rob or s.fbuf or s.iq:
-            # Mid-flight state (hand-stepped core): the contiguous-
-            # range invariants may not hold; use the reference loop.
-            from .python_ref import _run_fused
-
-            _run_fused(s, dispatch_hooks, cycle_end_hooks)
-            return
-        _run_kernel(lib, s)
+        _run_kernel(_load_library(), s)
 
 
 from . import register  # noqa: E402

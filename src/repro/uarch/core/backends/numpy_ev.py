@@ -600,6 +600,9 @@ class NumpyBackend:
     # The kernel folds the default observers into its own counters;
     # CycleCore must not run their finalize pass on top.
     owns_observer_stats = True
+    # The kernel assumes the contiguous-range ROB/fetch buffer of a
+    # fresh core; CycleCore runs a stepped state on python instead.
+    needs_fresh_state = True
 
     @staticmethod
     def available():
@@ -608,20 +611,13 @@ class NumpyBackend:
     @staticmethod
     def supports(streams, default_observers):
         if streams is None:
-            return False, "streams disabled or unavailable"
+            return False, "no-streams"
         if not default_observers:
-            return False, "custom observers need per-cycle hook points"
+            return False, "custom-observers"
         return True, None
 
     @staticmethod
     def run(s, dispatch_hooks, cycle_end_hooks):
-        if s.cycle or s.committed or s.fetch_idx or s.rob or s.fbuf or s.iq:
-            # Mid-flight state (hand-stepped core): the contiguous-
-            # range invariants may not hold; use the reference loop.
-            from .python_ref import _run_fused
-
-            _run_fused(s, dispatch_hooks, cycle_end_hooks)
-            return
         _run_kernel(s)
 
 

@@ -2,13 +2,12 @@
 
 Two flat cycle loops — one per front-end flavor — each a verbatim
 inlining of ``Commit``/``IssueQueue``/``Dispatch`` plus the matching
-front end.  The staged classes remain the canonical, readable
-implementations; these loops exist because at ~40k cycles per job the
-seven calls and dozens of attribute loads per cycle are a double-digit
-share of runtime.  Stage order, every branch, and every update match
-the staged loop exactly; ``tests/test_streams.py`` pins the paths
-against each other bit for bit, and the committed golden fixtures pin
-them against the seed simulator.
+front end.  :func:`_run_fused` is the golden reference every other
+backend is pinned against; the staged classes are per-stage
+expositions of the same loop that no backend ticks.  The committed
+golden fixtures pin these loops against the seed simulator, and
+``tests/test_streams.py`` pins the two front-end flavors against each
+other bit for bit.
 
 Observer-visible fields (cycle, dispatched, block_reason, fetch state)
 are published to the ``CoreState`` before each hook point, and all
@@ -582,6 +581,8 @@ class PythonBackend:
     # The reference loops drive observer hooks themselves; observer
     # finalization stays with CycleCore.
     owns_observer_stats = False
+    # Resumes any state, including a hand-stepped one.
+    needs_fresh_state = False
 
     @staticmethod
     def available():

@@ -1,20 +1,22 @@
 """The cycle-accurate tier: staged OoO core driver.
 
-``CycleCore`` wires the four pipeline stages around one
-:class:`~repro.uarch.core.state.CoreState` and hands the cycle loop to
-a selectable execution backend (:mod:`.backends`): ``python`` — the
-golden-reference fused loops — ``numpy`` — the batched event-queue
-kernel — or ``native`` — the on-demand-compiled C transcription of the
-fused loop.  Every backend steps the same state in the same
-retire-to-fetch order (commit, issue, dispatch, fetch) and is
-bit-identical to the pre-refactor ``pipeline.simulate`` — verified
-against committed golden fixtures for every gem5 workload — which is
-why the backend choice never appears in result-store keys.
+``CycleCore`` builds one :class:`~repro.uarch.core.state.CoreState`
+and hands the cycle loop to a selectable execution backend
+(:mod:`.backends`): ``native`` — the on-demand-compiled C transcription
+of the fused loop with the D-side hierarchy in C, the default wherever
+a C toolchain exists — ``python`` — the fused loops of
+:mod:`.backends.python_ref`, the golden reference and the fallback — or
+the opt-in ``numpy`` event-queue kernel.  Every backend steps the same
+state in the same retire-to-fetch order (commit, issue, dispatch,
+fetch) and is bit-identical to the pre-refactor ``pipeline.simulate`` —
+verified against committed golden fixtures for every gem5 workload —
+which is why the backend choice never appears in result-store keys.
 
-The staged classes (:class:`FrontEnd`, :class:`Dispatch`,
-:class:`IssueQueue`, :class:`Commit`) remain the canonical, readable
-implementations; ``tests/test_streams.py`` and
-``tests/test_backends.py`` pin every execution path against them.
+The fused ``python_ref`` loop is the golden reference that
+``tests/test_streams.py`` and ``tests/test_backends.py`` pin every
+execution path against.  The staged classes (:class:`FrontEnd`,
+:class:`Dispatch`, :class:`IssueQueue`, :class:`Commit`) are readable
+per-stage expositions of that loop; no backend ticks them.
 """
 
 from __future__ import annotations
@@ -43,11 +45,13 @@ class CycleCore:
     ``REPRO_STREAMS=0``) to force the reference per-op front end.
 
     ``backend`` selects the cycle-loop implementation (default: the
-    ``REPRO_CYCLE_BACKEND`` environment knob, then ``python``).  A
-    backend that cannot represent this run bit-exactly — e.g. a
-    compiled kernel without streams or with custom observers — routes
-    to ``python`` with a one-line warning; ``self.backend`` names the
-    implementation that actually runs.
+    ``REPRO_CYCLE_BACKEND`` environment knob, then the fastest
+    available backend).  A backend that cannot represent this run
+    bit-exactly — e.g. a compiled kernel without streams, with custom
+    observers, or handed a state that was already stepped — routes to
+    ``python``; ``self.backend`` names the implementation that actually
+    runs and ``self.backend_fallback`` the reason it changed (a
+    :data:`~.backends.FALLBACK_REASONS` key, or None).
     """
 
     def __init__(self, trace, config, max_cycles=None, warm=True,
@@ -86,16 +90,22 @@ class CycleCore:
         self.commit = Commit()
         self.observers = (list(observers) if observers is not None
                           else [TMASlotClassifier(), HotspotSampler()])
-        requested = backend or cycle_backends.backend_from_env()
+        requested, self._explicit = \
+            cycle_backends.requested_backend(backend)
         self._backend, self.backend, self.backend_fallback = \
             cycle_backends.select_backend(requested, streams,
-                                          observers is None)
+                                          observers is None,
+                                          explicit=self._explicit)
 
     def run(self):
         """Step the pipeline to completion; returns populated stats."""
         s = self.state
         if s is None:  # empty trace
             return self.stats
+        if self._backend.needs_fresh_state and not s.is_fresh():
+            self._backend, self.backend, self.backend_fallback = \
+                cycle_backends.fall_back(self.backend, "mid-flight",
+                                         self._explicit)
         dispatch_hooks = [ob.on_dispatch for ob in self.observers]
         cycle_end_hooks = [ob.on_cycle_end for ob in self.observers]
         self._backend.run(s, dispatch_hooks, cycle_end_hooks)

@@ -7,6 +7,12 @@ occupancy), the memory machinery (cache hierarchy, ITLB, branch
 predictor), and the per-cycle handoff fields each stage publishes for
 the next (``dispatched``, ``block_reason``, ``fetched``).
 
+The per-op lists and the stream-backed hierarchy are built on first
+read (``functools.cached_property``, so later reads are plain instance
+lookups): the interpreted loops read them, while the ``native`` kernel
+reads the trace's own columns and runs its own D-side port, so a
+native run never pays for either.
+
 Keeping every field on one ``__slots__`` object — rather than spread
 across stage instances — is what lets the staged simulator reproduce
 the monolithic loop bit for bit: stages read and write the same state
@@ -16,6 +22,7 @@ in the same order the single function did.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 
 from ...trace.ops import (
     BRANCH, FP_ADD, FP_DIV, FP_MUL, INT_ALU, LOAD, PAUSE, STORE,
@@ -87,8 +94,10 @@ class CoreState:
     """Every mutable datum of one in-flight simulation."""
 
     __slots__ = (
-        # decoded trace (lists: ~2x faster element access than ndarrays)
-        "n", "kinds", "addrs", "pcs", "takens", "dep1s", "dep2s", "funcs",
+        # the cached_property fields (per-op lists, `hier`) are stored
+        # in the instance dict on first read
+        "__dict__",
+        "n", "trace", "warm",
         # configuration and derived constants (hoisted off `config`:
         # per-op attribute chains are measurable at this loop's scale)
         "config", "lat_table", "l1d_hit_lat", "mshrs", "window", "width",
@@ -96,9 +105,9 @@ class CoreState:
         "fetch_width", "issue_width", "commit_width",
         "mispredict_penalty", "pause_latency", "itlb_penalty",
         # memory machinery (itlb/bp are None under precomputed streams)
-        "hier", "itlb", "bp", "streams",
+        "itlb", "bp", "streams",
         # microarchitectural structures
-        "completion", "ready_after", "rob", "iq", "fbuf", "iq_branches",
+        "rob", "iq", "fbuf", "iq_branches",
         "fetch_idx", "committed", "lq_used", "sq_used", "cycle",
         "last_fetch_line", "fetch_stall_until", "fetch_stall_kind",
         "redirect_branch", "serialize_until", "outstanding_misses",
@@ -114,13 +123,8 @@ class CoreState:
                  streams=None):
         n = len(trace)
         self.n = n
-        self.kinds = trace.kind.tolist()
-        self.addrs = trace.addr.tolist()
-        self.pcs = trace.pc.tolist()
-        self.takens = trace.taken.tolist()
-        self.dep1s = trace.dep1.tolist()
-        self.dep2s = trace.dep2.tolist()
-        self.funcs = trace.func.tolist()
+        self.trace = trace
+        self.warm = warm
 
         self.config = config
         self.stats = stats
@@ -134,12 +138,10 @@ class CoreState:
         else:
             # Stream-backed front end: L1I/ITLB/predictor outcomes are
             # precomputed per-op, so only the shared hierarchy is live;
-            # warm state is restored from snapshots + an L2 replay.
-            self.hier = MemoryHierarchy(config)
+            # its warm state (snapshots + an L2 replay) is restored on
+            # first read of `hier`.
             self.itlb = None
             self.bp = None
-            if warm:
-                streams.apply_warm(self.hier)
 
         self.rob_cap = config.rob_entries
         self.iq_cap = config.iq_entries
@@ -167,8 +169,6 @@ class CoreState:
                       else 400 * n + 10_000)
         self.fbuf_cap = 8 * config.fetch_width  # decoupled front end
 
-        self.completion = [-1] * n  # -1 = not issued yet
-        self.ready_after = [0] * n  # issue-scan skip bound (see issue.py)
         self.rob = deque()
         self.iq = []
         self.iq_branches = 0  # branches currently in the IQ
@@ -194,6 +194,61 @@ class CoreState:
                 "pause": 0}
         self.issued_by_kind = dict(zero)
         self.committed_by_kind = dict(zero)
+
+    # decoded trace (lists: ~2x faster element access than ndarrays)
+    @cached_property
+    def kinds(self):
+        return self.trace.kind.tolist()
+
+    @cached_property
+    def addrs(self):
+        return self.trace.addr.tolist()
+
+    @cached_property
+    def pcs(self):
+        return self.trace.pc.tolist()
+
+    @cached_property
+    def takens(self):
+        return self.trace.taken.tolist()
+
+    @cached_property
+    def dep1s(self):
+        return self.trace.dep1.tolist()
+
+    @cached_property
+    def dep2s(self):
+        return self.trace.dep2.tolist()
+
+    @cached_property
+    def funcs(self):
+        return self.trace.func.tolist()
+
+    @cached_property
+    def completion(self):
+        return [-1] * self.n  # -1 = not issued yet
+
+    @cached_property
+    def ready_after(self):
+        return [0] * self.n  # issue-scan skip bound (see issue.py)
+
+    @cached_property
+    def hier(self):
+        """The stream-backed run's hierarchy: fresh, then put in the
+        exact post-warmup state (snapshots + the merged L2 replay)."""
+        hier = MemoryHierarchy(self.config)
+        if self.warm:
+            self.streams.apply_warm(hier)
+        return hier
+
+    def built_hierarchy(self):
+        """The Python hierarchy if something built it, else None."""
+        return self.__dict__.get("hier")
+
+    def is_fresh(self):
+        """True until a stage or a backend has stepped this state."""
+        return not (self.cycle or self.committed or self.fetch_idx
+                    or self.rob or self.fbuf or self.iq)
 
     def reset_machinery_stats(self):
         """Zero the warmup pass out of every machinery counter."""

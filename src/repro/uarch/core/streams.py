@@ -93,9 +93,9 @@ class FrontEndStreams:
         "l1i_accesses", "l1i_misses", "bp_lookups", "bp_mispredicts",
         # warm-state restoration payload (None for cold runs)
         "warm", "l1d_sets", "l2_addrs", "l2_pfs",
-        # lazily-built kernel caches (backends/numpy_ev event tables,
-        # backends/native marshalled arrays), a per-backend dict cached
-        # here so every job sharing this fingerprint reuses one build
+        # lazily-built kernel caches (backends/numpy_ev event tables),
+        # a per-backend dict cached here so every job sharing this
+        # fingerprint reuses one build
         "kernel",
     )
 
@@ -483,7 +483,7 @@ def get_streams(trace, config, warm=True):
         mcache[mkey] = merged
 
     # Memoize the assembled warm-streams object itself (not just its
-    # parts) so per-stream caches — the kernel marshalled tables —
+    # parts) so per-stream caches — the numpy kernel's event tables —
     # survive across every job sharing this fingerprint, and persist
     # it so every later process skips the compute passes above.
     st = FrontEndStreams()

@@ -15,6 +15,7 @@ from gem5_golden import gem5_golden, gem5_traces
 from repro.engine.jobs import JobSpec
 from repro.uarch import CycleCore, gem5_baseline, host_i9, simulate
 from repro.uarch.core import backends as cycle_backends
+from repro.uarch.core.observers import Observer
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -151,3 +152,112 @@ class TestSelection:
             simulate(trace, gem5_baseline(), backend="python")
         spans = [s for s in root.children if s.name == "simulate:cycle"]
         assert spans and spans[0].attrs.get("backend") == "python"
+
+
+# ----------------------------------------------------------------------
+# The default backend and its quiet fallback
+# ----------------------------------------------------------------------
+def _fallbacks(reason):
+    from repro import telemetry
+
+    return telemetry.counter("repro_cycle_backend_fallbacks_total",
+                             reason=reason).get()
+
+
+class _Probe(Observer):
+    """A custom observer: needs the per-cycle hooks only python has."""
+
+
+class TestDefaultBackend:
+    def test_default_is_the_best_backend(self, monkeypatch):
+        monkeypatch.delenv(cycle_backends.BACKEND_ENV, raising=False)
+        best = cycle_backends.best_backend()
+        assert cycle_backends.backend_from_env() == best
+        assert cycle_backends.requested_backend() == (best, False)
+        if cycle_backends.get_backend("native").available():
+            assert best == "native"
+        # The always-available fallback target keeps its name.
+        assert cycle_backends.DEFAULT_BACKEND == "python"
+
+    def test_no_toolchain_degrades_to_python_silently(self, monkeypatch,
+                                                      capsys):
+        from repro import env as env_mod
+        from repro.uarch.core.backends import native
+
+        monkeypatch.delenv(cycle_backends.BACKEND_ENV, raising=False)
+        monkeypatch.setattr(env_mod, "_WARNED", set())
+        monkeypatch.setattr(native, "_lib", None)
+        monkeypatch.setattr(native, "_build_error",
+                            "no C compiler (cc/gcc/clang) on PATH")
+        assert cycle_backends.best_backend() == "python"
+        core = CycleCore(gem5_traces()["ar"], gem5_baseline())
+        assert core.backend == "python"
+        assert core.backend_fallback is None
+        assert core.run().as_dict() == gem5_golden()["ar"]["warm"]
+        assert capsys.readouterr().err == ""
+
+    def test_implicit_fallback_is_quiet_and_recorded(self, monkeypatch,
+                                                     capsys):
+        _require("native")
+        from repro import env as env_mod
+        from repro import telemetry
+
+        monkeypatch.delenv(cycle_backends.BACKEND_ENV, raising=False)
+        monkeypatch.setattr(env_mod, "_WARNED", set())
+        before = _fallbacks("custom-observers")
+        with telemetry.span("test-root") as root:
+            simulate(gem5_traces()["ar"], gem5_baseline(),
+                     observers=[_Probe()])
+        sp = next(s for s in root.children if s.name == "simulate:cycle")
+        assert sp.attrs["backend"] == "python"
+        assert sp.attrs["backend_fallback"] == "custom-observers"
+        assert _fallbacks("custom-observers") == before + 1
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("via", ("argument", "env"))
+    def test_explicit_request_still_warns(self, via, monkeypatch, capsys):
+        _require("native")
+        from repro import env as env_mod
+
+        monkeypatch.setattr(env_mod, "_WARNED", set())
+        monkeypatch.setenv("REPRO_STREAMS", "0")
+        before = _fallbacks("no-streams")
+        if via == "env":
+            monkeypatch.setenv(cycle_backends.BACKEND_ENV, "native")
+            core = CycleCore(gem5_traces()["ar"], gem5_baseline())
+        else:
+            core = CycleCore(gem5_traces()["ar"], gem5_baseline(),
+                             backend="native")
+        assert (core.backend, core.backend_fallback) == ("python",
+                                                         "no-streams")
+        assert _fallbacks("no-streams") == before + 1
+        assert "falling back to python" in capsys.readouterr().err
+
+    def test_hand_stepped_state_resumes_on_python(self, monkeypatch):
+        _require("native")
+        from repro.uarch.core.backends.python_ref import _run_fused
+
+        monkeypatch.delenv(cycle_backends.BACKEND_ENV, raising=False)
+        core = CycleCore(gem5_traces()["ar"], gem5_baseline())
+        assert core.backend == "native"
+        s = core.state
+        limit, s.limit = s.limit, 500
+        _run_fused(s, [ob.on_dispatch for ob in core.observers],
+                   [ob.on_cycle_end for ob in core.observers])
+        s.limit = limit
+        before = _fallbacks("mid-flight")
+        stats = core.run()
+        assert (core.backend, core.backend_fallback) == ("python",
+                                                         "mid-flight")
+        assert _fallbacks("mid-flight") == before + 1
+        assert stats.as_dict() == gem5_golden()["ar"]["warm"]
+
+    def test_native_run_leaves_no_per_op_lists(self, monkeypatch):
+        _require("native")
+        monkeypatch.delenv(cycle_backends.BACKEND_ENV, raising=False)
+        core = CycleCore(gem5_traces()["ar"], gem5_baseline())
+        core.run()
+        s = core.state
+        for name in ("kinds", "addrs", "pcs", "dep1s", "dep2s", "funcs"):
+            assert name not in vars(s), name
+        assert not isinstance(s.completion, list)

@@ -361,6 +361,43 @@ def test_build_report_from_torn_journal(tmp_path):
     assert report["slowest"][0]["seconds"] == 1.5
 
 
+def test_report_normalises_by_worker_seconds(tmp_path):
+    # Two workers, 2 s of wall: 3.8 s of summed simulate:cycle self time
+    # is 95% of the 4 worker-seconds (it would read 190% of wall).
+    def job(workload, seconds, **attrs):
+        return {"type": "job", "workload": workload, "label": "512",
+                "model": "cycle", "cached": False, "seconds": seconds,
+                "spans": {"name": "job", "seconds": seconds, "children": [
+                    {"name": "simulate:cycle", "seconds": seconds - 0.1,
+                     "attrs": attrs}]}}
+
+    records = [
+        {"type": "run", "label": "two-workers"},
+        job("ar", 1.5, backend="native"),
+        job("co", 1.5, backend="native"),
+        job("dm", 1.1, backend="python",
+            backend_fallback="custom-observers"),
+        {"type": "batch", "wall_s": 2.0, "workers": 2},
+        {"type": "summary", "status": "ok", "jobs": 3, "hits": 0,
+         "runs": 3, "wall_s": 2.0, "span_s": 4.1, "prebuild_s": 0.0,
+         "coverage": 2.05, "push_queue_depth": 0},
+    ]
+    path = tmp_path / "two.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    report = telemetry.build_report(str(path))
+    assert report["totals"]["worker_s"] == pytest.approx(4.0)
+    assert report["backends"] == {
+        "native": {"runs": 2, "fallbacks": {}},
+        "python": {"runs": 1, "fallbacks": {"custom-observers": 1}},
+    }
+    text = telemetry.render_report(report)
+    row = next(line for line in text.splitlines()
+               if line.startswith("simulate:cycle"))
+    assert "95.0" in row.split()
+    assert "cycle backend" in text
+    assert "custom-observers x1" in text
+
+
 # ----------------------------------------------------------------------
 # Trace-store counter sidecar
 # ----------------------------------------------------------------------
