@@ -26,6 +26,8 @@ from .. import faults, telemetry
 from ..engine.jobs import JobSpec
 from ..engine.store import ResultStore
 from ..env import env_dir, env_int, user_cache_dir, warn_once
+from ..fem.solver import solve_model
+from ..fem.solver.direct import lu_path
 from ..trace import TraceRequest, workload_trace
 from ..trace.store import TraceStore, store_enabled
 from ..uarch import SimStats, simulate
@@ -46,6 +48,16 @@ PREBUILT_TRACES = {}
 
 def _trace_memo_cap():
     return env_int(TRACE_MEMO_ENV, _TRACE_MEMO_DEFAULT, minimum=1)
+
+
+def _note_dense_lu(sp, record):
+    """Label a solve span with its direct factorizations and the LU path
+    that ran them (``repro report`` tabulates both)."""
+    n = sum(info.method == "direct"
+            for step in record.steps for info in step.linear_solves)
+    if n:
+        sp.attrs["dense_lu"] = lu_path()
+        sp.attrs["dense_lu_n"] = n
 
 
 def default_cache_dir():
@@ -138,7 +150,15 @@ class Runner:
             request = TraceRequest(budget=budget, scale=scale)
             with telemetry.span("synthesize", workload=workload,
                                 scale=str(scale), budget=budget):
-                trace, record = workload_trace(spec, request)
+                with telemetry.span("synthesize:solve") as sp:
+                    model = spec.build(scale)
+                    _, record = solve_model(model)
+                    record.model = model
+                    if sp is not None:
+                        _note_dense_lu(sp, record)
+                with telemetry.span("synthesize:emit"):
+                    trace, record = workload_trace(spec, request, model,
+                                                   record)
             entry = (trace, record)
             if tstore is not None:
                 try:

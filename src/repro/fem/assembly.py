@@ -22,9 +22,11 @@ from .kernels import (
     multiphasic_element,
     pressure_face_load,
     solid_element,
+    solid_geometry,
 )
 
-__all__ = ["AssemblyReport", "StateStore", "assemble_system", "external_force"]
+__all__ = ["AssemblyReport", "GeometryCache", "StateStore", "assemble_system",
+           "external_force"]
 
 
 class AssemblyReport:
@@ -88,6 +90,37 @@ class StateStore:
         }
 
 
+class GeometryCache:
+    """Reference geometry of every solid element, computed once per solve.
+
+    An element's Jacobian determinants, physical shape gradients and
+    small-strain B matrices depend only on its reference coordinates,
+    which no Newton iteration changes, so :func:`solve_model` keeps one
+    cache for the duration of one solve and hands it to every assembly.
+    The values are the same bits :func:`solid_element` computes for
+    itself (same functions, same inputs); they are stored read-only.
+
+    The cache is deliberately not kept on the model: runners memoize the
+    model with its solve record, and a model-level cache would keep
+    every element's geometry alive with it.
+    """
+
+    def __init__(self):
+        self._elements = {}
+
+    def solid(self, block, e, coords, material):
+        """:func:`solid_geometry` of element *e* of *block*."""
+        key = (block.name, e)
+        geometry = self._elements.get(key)
+        if geometry is None:
+            dets, dNs, Bs = solid_geometry(coords,
+                                           not material.finite_strain)
+            for a in (dets, *dNs, *(Bs or ())):
+                a.setflags(write=False)
+            geometry = self._elements[key] = (dets, dNs, Bs)
+        return geometry
+
+
 def _gather(values, conn, field_names):
     cols = [FIELDS.index(f) for f in field_names]
     return values[np.ix_(conn, cols)]
@@ -138,7 +171,8 @@ def _scatter(model, conn, field_names, f_e, K_e, rhs, builder):
         np.repeat(flat_eq, m), np.tile(flat_eq, m), values.ravel())
 
 
-def assemble_system(model, values, values_old, body_q, states, dt, t):
+def assemble_system(model, values, values_old, body_q, states, dt, t,
+                    geometry=None):
     """Assemble the tangent CSR matrix and internal-force residual.
 
     Parameters
@@ -154,6 +188,9 @@ def assemble_system(model, values, values_old, body_q, states, dt, t):
         :class:`StateStore` with committed material state.
     dt, t:
         Time increment and current time.
+    geometry:
+        Optional :class:`GeometryCache` shared by the assemblies of one
+        solve; without one every element's geometry is recomputed.
 
     Returns
     -------
@@ -182,7 +219,9 @@ def assemble_system(model, values, values_old, body_q, states, dt, t):
             if block.physics == "solid":
                 u_e = _gather(values, conn, ("ux", "uy", "uz"))
                 f_e, K_e, new_state = solid_element(
-                    coords, u_e, material, states.get(block.name, e), dt, t
+                    coords, u_e, material, states.get(block.name, e), dt, t,
+                    None if geometry is None
+                    else geometry.solid(block, e, coords, material),
                 )
             elif block.physics == "biphasic":
                 u_e = _gather(values, conn, ("ux", "uy", "uz"))

@@ -21,6 +21,7 @@ from .shape import Hex8, Quad4, Tet4, jacobian, jacobian_all, rule_gradients
 __all__ = [
     "element_quadrature",
     "solid_element",
+    "solid_geometry",
     "biphasic_element",
     "multiphasic_element",
     "fluid_element",
@@ -56,19 +57,18 @@ def _b_matrix(dN):
 
 
 def _bl_matrix(dN, F):
-    """Total-Lagrangian strain-displacement matrix (6 x 3n)."""
-    n = dN.shape[0]
-    BL = np.zeros((6, 3 * n))
-    for a in range(n):
-        for i in range(3):
-            col = 3 * a + i
-            BL[0, col] = F[i, 0] * dN[a, 0]
-            BL[1, col] = F[i, 1] * dN[a, 1]
-            BL[2, col] = F[i, 2] * dN[a, 2]
-            BL[3, col] = F[i, 0] * dN[a, 1] + F[i, 1] * dN[a, 0]
-            BL[4, col] = F[i, 1] * dN[a, 2] + F[i, 2] * dN[a, 1]
-            BL[5, col] = F[i, 0] * dN[a, 2] + F[i, 2] * dN[a, 0]
-    return BL
+    """Total-Lagrangian strain-displacement matrix (6 x 3n).
+
+    Column ``3a + i`` of Voigt row ``(j, k)`` is ``F[i, j] * dN[a, k]``,
+    plus ``F[i, k] * dN[a, j]`` on the shear rows: every entry is one
+    product, or the sum of two, so forming all products at once gives
+    the bits the per-entry loop gives.
+    """
+    P = F[None, :, :, None] * dN[:, None, None, :]  # [a, i, j, k]
+    BL = np.empty((6, dN.shape[0], 3))
+    for r, (j, k) in enumerate(_VOIGT_PAIRS):
+        BL[r] = P[:, :, j, k] if j == k else P[:, :, j, k] + P[:, :, k, j]
+    return BL.reshape(6, -1)
 
 
 def _state_slice(state, gp):
@@ -80,7 +80,23 @@ def _state_commit(new_state, pending, gp):
         new_state[k][gp] = v
 
 
-def solid_element(coords, u_e, material, state, dt, t):
+def solid_geometry(coords, small_strain):
+    """Reference geometry of one solid element: ``(dets, dNs, Bs)``.
+
+    The Jacobian determinants and physical shape gradients at every
+    Gauss point, plus the small-strain B matrices when *small_strain*
+    (else ``Bs`` is None: the finite-strain path builds its matrix from
+    the current deformation).  All of it depends on the reference
+    coordinates only, so a solve can compute it once per element and
+    pass it back to :func:`solid_element` on every assembly.
+    """
+    cls, rule = _infer_volume(coords)
+    dets, dNs = jacobian_all(coords, rule_gradients(cls, rule))
+    Bs = [_b_matrix(dN) for dN in dNs] if small_strain else None
+    return dets, dNs, Bs
+
+
+def solid_element(coords, u_e, material, state, dt, t, geometry=None):
     """Displacement-based solid element (small- or finite-strain).
 
     Parameters
@@ -93,14 +109,18 @@ def solid_element(coords, u_e, material, state, dt, t):
         Constitutive model; its ``finite_strain`` flag selects the path.
     state:
         Dict of per-Gauss-point state arrays for this element.
+    geometry:
+        This element's :func:`solid_geometry`, when the caller keeps
+        it; computed here otherwise.
     """
     cls, rule = _infer_volume(coords)
     n = cls.nnodes
     f = np.zeros(3 * n)
     K = np.zeros((3 * n, 3 * n))
     new_state = {k: v.copy() for k, v in state.items()}
-    grads_list = rule_gradients(cls, rule)
-    dets, dNs = jacobian_all(coords, grads_list)
+    if geometry is None:
+        geometry = solid_geometry(coords, not material.finite_strain)
+    dets, dNs, Bs = geometry
     for gp, (xi, w) in enumerate(rule):
         detJ = float(dets[gp])
         dN = dNs[gp]
@@ -119,7 +139,7 @@ def solid_element(coords, u_e, material, state, dt, t):
             G = dN @ S @ dN.T  # (n, n)
             K += wdet * np.kron(G, np.eye(3))
         else:
-            B = _b_matrix(dN)
+            B = Bs[gp]
             eps = B @ u_e.ravel()
             sig, D, pending = material.small_strain_response(
                 eps, _state_slice(state, gp), dt, t

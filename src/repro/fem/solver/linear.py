@@ -81,7 +81,7 @@ def solve_linear(matrix, rhs, method="auto", rtol=1e-9):
             method = "fgmres"
 
     if method == "direct":
-        lu = DenseLU(matrix.to_dense())
+        lu = DenseLU.from_csr(matrix)
         x = lu.solve(rhs)
         return x, LinearSolveInfo("direct", n, matrix.nnz)
 
@@ -110,7 +110,7 @@ def solve_linear(matrix, rhs, method="auto", rtol=1e-9):
             precond = JacobiPreconditioner(matrix)
         result = fgmres(matrix, rhs, precond, rtol=rtol)
         if not result.converged and n <= 4 * _DIRECT_LIMIT:
-            lu = DenseLU(matrix.to_dense())
+            lu = DenseLU.from_csr(matrix)
             return lu.solve(rhs), LinearSolveInfo(
                 "direct", n, matrix.nnz, result.iterations
             )

@@ -14,7 +14,8 @@ import time
 
 import numpy as np
 
-from ..assembly import StateStore, assemble_system, external_force
+from ..assembly import (GeometryCache, StateStore, assemble_system,
+                        external_force)
 from .linear import solve_linear
 
 __all__ = ["NewtonError", "StepRecord", "SolveRecord", "solve_model"]
@@ -101,6 +102,8 @@ def solve_model(model, progress=None):
     values = model.new_field_array()
     body_q = model.new_body_vector()
     states = StateStore(model)
+    # Per-solve, never on the model (see GeometryCache).
+    geometry = GeometryCache()
 
     t = 0.0
     start = time.perf_counter()
@@ -119,7 +122,8 @@ def solve_model(model, progress=None):
         for it in range(step.max_newton):
             t0 = time.perf_counter()
             K, f_int, pending, report = assemble_system(
-                model, values, values_old, body_q, states, dt, t_new
+                model, values, values_old, body_q, states, dt, t_new,
+                geometry,
             )
             record.assembly_time += time.perf_counter() - t0
             record.n_assemblies += 1
@@ -149,7 +153,7 @@ def solve_model(model, progress=None):
             if step.line_search:
                 du = _line_search(
                     model, values, values_old, body_q, states, f_ext,
-                    du, r_norm, dt, t_new,
+                    du, r_norm, dt, t_new, geometry,
                 )
             model.scatter_update(values, body_q, du)
             record.matrix = K
@@ -172,14 +176,15 @@ def solve_model(model, progress=None):
 
 
 def _line_search(model, values, values_old, body_q, states, f_ext, du,
-                 r_norm0, dt, t):
+                 r_norm0, dt, t, geometry):
     """Backtracking line search on the residual norm (cheap, 2 trials max)."""
     for scale in (1.0, 0.5, 0.25):
         trial_values = values.copy()
         trial_q = body_q.copy()
         model.scatter_update(trial_values, trial_q, scale * du)
         _, f_int, _, _ = assemble_system(
-            model, trial_values, values_old, trial_q, states, dt, t
+            model, trial_values, values_old, trial_q, states, dt, t,
+            geometry,
         )
         if float(np.linalg.norm(f_int - f_ext)) < r_norm0 * 1.5:
             return scale * du

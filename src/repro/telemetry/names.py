@@ -34,6 +34,8 @@ SPAN_NAMES = (
     "store:put",
     "stream_precompute",
     "synthesize",
+    "synthesize:emit",
+    "synthesize:solve",
     "trace_load",
 )
 
@@ -44,6 +46,7 @@ METRIC_NAMES = (
     "repro_cycle_backend_fallbacks_total",
     "repro_cycle_backend_runs_total",
     "repro_faults_injected_total",
+    "repro_fem_dense_lu_total",
     "repro_faults_recovered_total",
     "repro_pool_job_timeouts_total",
     "repro_pool_quarantined_total",

@@ -2,10 +2,10 @@
 
 ``repro report [journal]`` (see :mod:`repro.__main__`) renders the
 output of :func:`build_report`: where a run's time went by phase,
-which fidelity tiers and cycle backends served the jobs, the
-cache/remote hit rates the stores recorded, the slowest jobs, and the
-remote push-queue depth at run end.  ``--json`` emits the report dict
-itself.
+which fidelity tiers and cycle backends served the jobs, which dense
+LU path factored the cold solves' systems, the cache/remote hit rates
+the stores recorded, the slowest jobs, and the remote push-queue depth
+at run end.  ``--json`` emits the report dict itself.
 
 Phase self times are summed over every process that ran jobs, so the
 phase table divides them by *worker-seconds* — each batch's wall time
@@ -46,6 +46,17 @@ def _walk_backends(node, backends):
         _walk_backends(child, backends)
 
 
+def _walk_dense_lu(node, paths):
+    attrs = node.get("attrs") or {}
+    if node.get("name") == "synthesize:solve" and "dense_lu" in attrs:
+        entry = paths.setdefault(attrs["dense_lu"],
+                                 {"solves": 0, "factorizations": 0})
+        entry["solves"] += 1
+        entry["factorizations"] += attrs.get("dense_lu_n", 0)
+    for child in node.get("children", ()):
+        _walk_dense_lu(child, paths)
+
+
 def build_report(path):
     """Aggregate one journal file into a report dict."""
     records = read_journal(path)
@@ -59,15 +70,18 @@ def build_report(path):
 
     phases = {}
     backends = {}
+    dense_lu = {}
     for job in jobs:
         spans = job.get("spans")
         if spans:
             _walk_phases(spans, phases)
             _walk_backends(spans, backends)
+            _walk_dense_lu(spans, dense_lu)
     for batch in batches:
         spans = batch.get("spans")
         if spans:
             _walk_phases(spans, phases)
+            _walk_dense_lu(spans, dense_lu)
 
     tiers = {}
     for job in jobs:
@@ -133,6 +147,7 @@ def build_report(path):
         },
         "tiers": tiers,
         "backends": backends,
+        "dense_lu": dense_lu,
         "stores": stores,
         "slowest": [
             {"workload": j.get("workload"), "label": j.get("label"),
@@ -208,6 +223,14 @@ def render_report(report, top=10):
             for name, v in sorted(report["backends"].items())
         ]
         parts.append(render_table(rows, title="cycle backend"))
+
+    if report.get("dense_lu"):
+        rows = [
+            {"path": name, "solves": str(v["solves"]),
+             "factorizations": str(v["factorizations"])}
+            for name, v in sorted(report["dense_lu"].items())
+        ]
+        parts.append(render_table(rows, title="dense LU (trace synthesis)"))
 
     for store in report["stores"]:
         lookups = (store.get("hits", 0) or 0) + (store.get("misses", 0) or 0)

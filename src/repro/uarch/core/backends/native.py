@@ -6,7 +6,7 @@ state representation, with the default observers folded into counters
 exactly the way the ``numpy`` kernel folds them.  It is compiled on
 demand with whatever C compiler the host already has (``cc``/``gcc``/
 ``clang`` — no build-time dependency) into a content-addressed shared
-object under a small on-disk cache, and loaded through :mod:`ctypes`.
+object and loaded through :mod:`ctypes`, by :mod:`repro.nativelib`.
 
 The D-side hierarchy runs in C too, behind one narrow port
 (:class:`DSidePort`): L1D, the shared L2 with its interference, the
@@ -32,17 +32,12 @@ and the default quietly resolves to ``python`` there.
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
 import os
-import shutil
-import subprocess
-import tempfile
 from collections import deque
 from ctypes import c_longlong, c_void_p
 from itertools import chain
 
-from ....env import env_dir
+from .... import nativelib
 from ....trace.ops import BRANCH, LOAD, PAUSE, STORE
 from ...hierarchy import MemoryHierarchy
 from ..state import KIND_KEY_LIST
@@ -87,21 +82,12 @@ _NPARAMS = 52
 _lib = None
 _build_error = None
 
-
-def _find_compiler():
-    for name in ("cc", "gcc", "clang"):
-        path = shutil.which(name)
-        if path:
-            return path
-    return None
-
-
-def _cache_dir():
-    explicit = env_dir("REPRO_NATIVE_CACHE_DIR")
-    if explicit:
-        return explicit
-    uid = os.getuid() if hasattr(os, "getuid") else "na"
-    return os.path.join(tempfile.gettempdir(), f"repro-native-{uid}")
+# Exported functions: name -> (restype, argtypes).
+_SIGNATURES = {
+    "run_kernel": (None, [c_void_p] * 23),
+    "port_warm": (None, [c_void_p] * 4 + [c_longlong]),
+    "port_replay": (None, [c_void_p] * 6 + [c_longlong]),
+}
 
 
 def _load_library():
@@ -118,50 +104,13 @@ def _load_library():
         _build_error = "numpy unavailable"
         return None
     try:
-        src = open(_KERNEL_SRC, "rb").read()
-    except OSError as exc:
-        _build_error = f"kernel source unreadable: {exc}"
-        return None
-    cc = _find_compiler()
-    if cc is None:
-        _build_error = "no C compiler (cc/gcc/clang) on PATH"
-        return None
-    tag = hashlib.sha256(src).hexdigest()[:16]
-    cache_dir = _cache_dir()
-    so_path = os.path.join(cache_dir, f"cycle_kernel_{tag}.so")
-    if not os.path.exists(so_path):
-        try:
-            os.makedirs(cache_dir, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".so.tmp")
-            os.close(fd)
-            proc = subprocess.run(
-                [cc, "-O2", "-shared", "-fPIC", "-o", tmp, _KERNEL_SRC],
-                capture_output=True, text=True, timeout=120)
-            if proc.returncode != 0:
-                os.unlink(tmp)
-                tail = (proc.stderr or "").strip().splitlines()
-                _build_error = "compile failed: " + (
-                    tail[-1] if tail else f"exit {proc.returncode}")
-                return None
-            os.replace(tmp, so_path)  # atomic under concurrent builders
-        except Exception as exc:  # repro: noqa[RPR006] not silent:
-            # the failure is recorded in _build_error and surfaced by
-            # select_backend's warn_once when the backend is requested.
-            _build_error = f"compile failed: {exc}"
-            return None
-    try:
-        lib = ctypes.CDLL(so_path)
-        for name, nptr in (("run_kernel", 23), ("port_warm", 4),
-                           ("port_replay", 6)):
-            fn = getattr(lib, name)
-            fn.restype = None
-            fn.argtypes = [c_void_p] * nptr + (
-                [] if name == "run_kernel" else [c_longlong])
-    except (OSError, AttributeError) as exc:
-        _build_error = f"kernel load failed: {exc}"
-        return None
-    _lib = lib
-    return lib
+        _lib = nativelib.load(_KERNEL_SRC, "cycle_kernel", ("-O2",),
+                              _SIGNATURES)
+    except nativelib.BuildError as exc:
+        # Not silent: select_backend's warn_once surfaces the reason
+        # when the backend is requested explicitly.
+        _build_error = str(exc)
+    return _lib
 
 
 def build_error():

@@ -174,3 +174,34 @@ class TestExternalForce:
         # Total = rho * g * V minus the share carried by fixed nodes.
         assert f.sum() < 0
         assert abs(f.sum()) <= 3.0 * 2.0 * 1.0 + 1e-9
+
+
+def _bl_matrix_per_entry(dN, F):
+    """The per-entry loop the vectorized ``_bl_matrix`` replaced."""
+    n = dN.shape[0]
+    BL = np.zeros((6, 3 * n))
+    for a in range(n):
+        for i in range(3):
+            col = 3 * a + i
+            BL[0, col] = F[i, 0] * dN[a, 0]
+            BL[1, col] = F[i, 1] * dN[a, 1]
+            BL[2, col] = F[i, 2] * dN[a, 2]
+            BL[3, col] = F[i, 0] * dN[a, 1] + F[i, 1] * dN[a, 0]
+            BL[4, col] = F[i, 1] * dN[a, 2] + F[i, 2] * dN[a, 1]
+            BL[5, col] = F[i, 0] * dN[a, 2] + F[i, 2] * dN[a, 0]
+    return BL
+
+
+@pytest.mark.parametrize("nnodes", (4, 8))
+def test_bl_matrix_matches_per_entry_loop(nnodes):
+    from repro.fem.kernels import _bl_matrix
+
+    rng = np.random.default_rng(nnodes)
+    for _ in range(200):
+        dN = rng.standard_normal((nnodes, 3)) * 10.0 ** rng.integers(-4, 4)
+        F = np.eye(3) + rng.standard_normal((3, 3)) * 10.0 ** rng.integers(
+            -8, 1)
+        got = _bl_matrix(dN, F)
+        want = _bl_matrix_per_entry(dN, F)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -398,6 +398,37 @@ def test_report_normalises_by_worker_seconds(tmp_path):
     assert "custom-observers x1" in text
 
 
+def test_cold_synthesis_splits_solve_and_emit(tmp_path):
+    # A cold trace is a FEM solve then trace emission; the solve span
+    # names the dense LU path its direct solves ran on, and the report
+    # tabulates it.
+    from repro.fem.solver.direct import lu_path
+
+    runner = Runner(cache_dir=tmp_path / "r", trace_store=False)
+    with telemetry.span("job") as root:
+        runner.trace_for("ma", scale="tiny", budget=4000)
+    (synth,) = root.children
+    assert synth.name == "synthesize"
+    solve, emit = synth.children
+    assert (solve.name, emit.name) == ("synthesize:solve", "synthesize:emit")
+    assert solve.attrs["dense_lu"] == lu_path()
+    assert solve.attrs["dense_lu_n"] > 0
+
+    records = [
+        {"type": "run", "label": "cold"},
+        {"type": "job", "workload": "ma", "label": "512", "model": "cycle",
+         "cached": False, "seconds": root.seconds, "spans": root.as_dict()},
+    ]
+    path = tmp_path / "cold.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    report = telemetry.build_report(str(path))
+    assert {"synthesize", "synthesize:solve",
+            "synthesize:emit"} <= set(report["phases"])
+    assert report["dense_lu"] == {lu_path(): {
+        "solves": 1, "factorizations": solve.attrs["dense_lu_n"]}}
+    assert "dense LU" in telemetry.render_report(report)
+
+
 # ----------------------------------------------------------------------
 # Trace-store counter sidecar
 # ----------------------------------------------------------------------
