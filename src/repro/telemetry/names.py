@@ -64,5 +64,6 @@ METRIC_NAMES = (
     "repro_server_requests_total",
     "repro_span_seconds",
     "repro_stream_fallbacks_total",
+    "repro_stream_precompute_total",
     "repro_trace_store_events_total",
 )

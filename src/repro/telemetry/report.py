@@ -3,9 +3,10 @@
 ``repro report [journal]`` (see :mod:`repro.__main__`) renders the
 output of :func:`build_report`: where a run's time went by phase,
 which fidelity tiers and cycle backends served the jobs, which dense
-LU path factored the cold solves' systems, the cache/remote hit rates
-the stores recorded, the slowest jobs, and the remote push-queue depth
-at run end.  ``--json`` emits the report dict itself.
+LU path factored the cold solves' systems, which path computed the
+front-end streams, the cache/remote hit rates the stores recorded, the
+slowest jobs, and the remote push-queue depth at run end.  ``--json``
+emits the report dict itself.
 
 Phase self times are summed over every process that ran jobs, so the
 phase table divides them by *worker-seconds* — each batch's wall time
@@ -57,6 +58,16 @@ def _walk_dense_lu(node, paths):
         _walk_dense_lu(child, paths)
 
 
+def _walk_streams(node, paths):
+    attrs = node.get("attrs") or {}
+    if node.get("name") == "stream_precompute":
+        entry = paths.setdefault(attrs.get("path", "?"),
+                                 {"i-side": 0, "d-side": 0})
+        entry["d-side" if attrs.get("side") == "d" else "i-side"] += 1
+    for child in node.get("children", ()):
+        _walk_streams(child, paths)
+
+
 def build_report(path):
     """Aggregate one journal file into a report dict."""
     records = read_journal(path)
@@ -71,12 +82,14 @@ def build_report(path):
     phases = {}
     backends = {}
     dense_lu = {}
+    streams = {}
     for job in jobs:
         spans = job.get("spans")
         if spans:
             _walk_phases(spans, phases)
             _walk_backends(spans, backends)
             _walk_dense_lu(spans, dense_lu)
+            _walk_streams(spans, streams)
     for batch in batches:
         spans = batch.get("spans")
         if spans:
@@ -148,6 +161,7 @@ def build_report(path):
         "tiers": tiers,
         "backends": backends,
         "dense_lu": dense_lu,
+        "streams": streams,
         "stores": stores,
         "slowest": [
             {"workload": j.get("workload"), "label": j.get("label"),
@@ -231,6 +245,14 @@ def render_report(report, top=10):
             for name, v in sorted(report["dense_lu"].items())
         ]
         parts.append(render_table(rows, title="dense LU (trace synthesis)"))
+
+    if report.get("streams"):
+        rows = [
+            {"path": name, "i-side": str(v["i-side"]),
+             "d-side": str(v["d-side"])}
+            for name, v in sorted(report["streams"].items())
+        ]
+        parts.append(render_table(rows, title="stream precompute"))
 
     for store in report["stores"]:
         lookups = (store.get("hits", 0) or 0) + (store.get("misses", 0) or 0)

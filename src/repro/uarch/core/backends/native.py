@@ -40,8 +40,7 @@ from itertools import chain
 from .... import nativelib
 from ....trace.ops import BRANCH, LOAD, PAUSE, STORE
 from ...hierarchy import MemoryHierarchy
-from ..state import KIND_KEY_LIST
-from .numpy_ev import _BLOCK_NAMES, _FS_NAMES
+from ..state import BLOCK_NAMES, FS_NAMES, KIND_KEY_LIST
 
 try:
     import numpy as np
@@ -350,7 +349,7 @@ def _run_kernel(lib, s):
     s.serialize_until = int(P[P_SER_UNTIL])
     s.last_fetch_line = int(P[P_LAST_LINE])
     s.fetch_stall_until = int(P[P_FSTALL_UNTIL])
-    s.fetch_stall_kind = _FS_NAMES[int(P[P_FS_KIND])]
+    s.fetch_stall_kind = FS_NAMES[int(P[P_FS_KIND])]
     s.redirect_branch = int(P[P_REDIRECT])
     s.iq_branches = int(P[P_IQ_BRANCHES])
     s.completion = completion
@@ -360,7 +359,7 @@ def _run_kernel(lib, s):
     s.rob = deque(range(committed, disp_next))
     s.fbuf = deque(range(disp_next, fetch_idx))
     s.dispatched = int(P[P_DISPATCHED])
-    s.block_reason = _BLOCK_NAMES[int(P[P_BLOCK])]
+    s.block_reason = BLOCK_NAMES[int(P[P_BLOCK])]
     s.fetched = int(P[P_FETCHED])
     issued_counts = s.issued_by_kind
     committed_counts = s.committed_by_kind

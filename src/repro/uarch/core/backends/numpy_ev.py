@@ -43,7 +43,7 @@ from bisect import bisect_left
 from collections import deque
 
 from ....trace.ops import BRANCH, LOAD, PAUSE, STORE
-from ..state import KIND_KEY_LIST
+from ..state import BLOCK_NAMES, FS_NAMES, KIND_KEY_LIST
 
 try:
     import numpy as np
@@ -55,9 +55,6 @@ __all__ = ["NumpyBackend"]
 # Event byte per op: bit 0 = machinery consultation that may stall
 # (new line with an ITLB or L1I miss), bit 1 = mispredict redirect.
 _STALL = 1
-
-_FS_NAMES = (None, "icache", "tlb")
-_BLOCK_NAMES = (None, "frontend", "serialize", "rob", "iq", "lq", "sq")
 
 
 def _event_tables(st, pcs):
@@ -141,7 +138,7 @@ def _run_kernel(s):
     sq_used = s.sq_used
     serialize_until = s.serialize_until
     fetch_stall_until = s.fetch_stall_until
-    fs_kind = _FS_NAMES.index(s.fetch_stall_kind)
+    fs_kind = FS_NAMES.index(s.fetch_stall_kind)
     redirect_branch = s.redirect_branch
     iq_b = [idx for idx in iq if kinds[idx] == BRANCH]  # sorted, iq is
     outstanding = s.outstanding_misses
@@ -554,14 +551,14 @@ def _run_kernel(s):
         else:
             s.last_fetch_line = -1
         s.fetch_stall_until = fetch_stall_until
-        s.fetch_stall_kind = _FS_NAMES[fs_kind]
+        s.fetch_stall_kind = FS_NAMES[fs_kind]
         s.redirect_branch = redirect_branch
         s.iq_branches = len(iq_b)
         s.outstanding_misses = outstanding
         s.rob = deque(range(committed, disp_next))
         s.fbuf = deque(range(disp_next, fetch_idx))
         s.dispatched = dispatched
-        s.block_reason = _BLOCK_NAMES[block]
+        s.block_reason = BLOCK_NAMES[block]
         s.fetched = fetched
         issued_counts = s.issued_by_kind
         committed_counts = s.committed_by_kind

@@ -36,8 +36,14 @@ from ..tlb import TLB
 KIND_KEY_LIST = ["int", "fp", "fp", "fp", "load", "store", "branch",
                  "pause"]
 
-__all__ = ["CoreState", "KIND_KEYS", "KIND_KEY_LIST", "functional_warmup",
-           "make_machinery"]
+# The integer codes the native and numpy kernels use for
+# `CoreState.fetch_stall_kind` and `CoreState.block_reason` (code =
+# index).
+FS_NAMES = (None, "icache", "tlb")
+BLOCK_NAMES = (None, "frontend", "serialize", "rob", "iq", "lq", "sq")
+
+__all__ = ["BLOCK_NAMES", "CoreState", "FS_NAMES", "KIND_KEYS",
+           "KIND_KEY_LIST", "functional_warmup", "make_machinery"]
 
 # Execution-unit class of each op kind (Fig. 7's stat buckets).
 KIND_KEYS = {

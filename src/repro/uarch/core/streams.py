@@ -40,6 +40,18 @@ sidecar archive keyed by (trace key, I/D-side fingerprint,
 the same quarantine/eviction regime (see
 :meth:`~repro.trace.store.TraceStore.save_sidecar`).  A warm process
 then skips the ``stream_precompute`` passes entirely.
+
+The passes themselves run natively: ``_streams.c`` repeats the I-side
+walk — ITLB, L1I with its prefetch probe, and all four branch
+predictors — and the L1D walk operation for operation, taking the
+predictors' table sizes and bounds from a live instance.  Its driver,
+:mod:`.streams_native`, is imported (and compiles it) at the first
+computation, never at import.
+:func:`_compute_iside` and :func:`_compute_dside` stay as the reference
+and as the fallback on hosts without a C compiler; both paths give the
+same streams bit for bit, so there is no knob.  Each computation bumps
+``repro_stream_precompute_total{side,path}`` and labels its
+``stream_precompute`` span with the ``path`` that ran.
 """
 
 from __future__ import annotations
@@ -93,9 +105,12 @@ class FrontEndStreams:
         "l1i_accesses", "l1i_misses", "bp_lookups", "bp_mispredicts",
         # warm-state restoration payload (None for cold runs)
         "warm", "l1d_sets", "l2_addrs", "l2_pfs",
-        # lazily-built kernel caches (backends/numpy_ev event tables),
-        # a per-backend dict cached here so every job sharing this
-        # fingerprint reuses one build
+        # lazily-built cycle-kernel caches (backends/numpy_ev event
+        # tables), a per-backend dict cached here so every job sharing
+        # this fingerprint reuses one build.  The precompute never
+        # fills it: the C passes (`_streams.c`) and their Python
+        # fallback both produce only the fields above, as bytearrays
+        # and int lists.
         "kernel",
     )
 
@@ -282,25 +297,57 @@ def _merge_warm_events(iside_events, dside_events):
     ``functional_warmup`` performs, per op, the I-side access first
     (prefetch probe before the demand probe) and the data access
     second, so at equal positions I-side events precede D-side ones.
+    Each side is already in program order, so one stable sort on
+    ``2 * position + side`` is that two-way merge.
     """
     ipos, iaddr, ipf = iside_events
     dpos, daddr = dside_events
-    addrs = []
-    pfs = []
-    ii = 0
-    ni = len(ipos)
-    di = 0
-    nd = len(dpos)
-    while ii < ni or di < nd:
-        if di >= nd or (ii < ni and ipos[ii] <= dpos[di]):
-            addrs.append(iaddr[ii])
-            pfs.append(ipf[ii])
-            ii += 1
-        else:
-            addrs.append(daddr[di])
-            pfs.append(0)
-            di += 1
-    return addrs, pfs
+    keys = np.concatenate((np.asarray(ipos, dtype=np.int64) * 2,
+                           np.asarray(dpos, dtype=np.int64) * 2 + 1))
+    order = np.argsort(keys, kind="stable")
+    addrs = np.concatenate((np.asarray(iaddr, dtype=np.int64),
+                            np.asarray(daddr, dtype=np.int64)))
+    pfs = np.concatenate((np.asarray(ipf, dtype=np.int64),
+                          np.zeros(len(dpos), dtype=np.int64)))
+    return addrs[order].tolist(), pfs[order].tolist()
+
+
+def stream_path():
+    """Which precompute runs in this process: native or python."""
+    from . import streams_native
+
+    return "python" if streams_native.load_kernel() is None else "native"
+
+
+def _precompute(side, trace, config, warm=None):
+    """One I-side (``side="i"``) or D-side pass on the native path when
+    it can run, else the Python reference; counted and spanned with the
+    path that ran.  The native wrapper is imported here, at the first
+    computation, so a process that only reads sidecars never loads it.
+    """
+    from ... import telemetry
+    from . import streams_native as native
+
+    lib = native.load_kernel()
+    desc = None
+    # An ITLB with no entries cannot evict; the reference raises on it.
+    if lib is not None and side == "i" and config.itlb_entries >= 1:
+        desc = native.predictor_desc(
+            make_predictor(config.branch_predictor))
+    path = "native" if lib is not None and (
+        side == "d" or desc is not None) else "python"
+    telemetry.counter(
+        "repro_stream_precompute_total",
+        help="Front-end stream computations by side and the path that ran.",
+        side=side, path=path).inc()
+    with telemetry.span("stream_precompute", side=side, path=path):
+        if side == "d":
+            if path == "native":
+                return native.dside_pass(lib, trace, config)
+            return _compute_dside(trace, config)
+        if path == "native":
+            return native.iside_pass(lib, trace, config, warm, desc)
+        return _compute_iside(trace, config, warm)
 
 
 # ----------------------------------------------------------------------
@@ -417,8 +464,6 @@ def get_streams(trace, config, warm=True):
     if cache is None:
         cache = {}
         trace._fe_streams = cache
-    from ... import telemetry
-
     ikey = _iside_key(config, warm)
     if not warm:
         cached = cache.get(ikey)
@@ -429,8 +474,7 @@ def get_streams(trace, config, warm=True):
                 # under a cold ikey, so an empty one is equivalent.
                 cached = (st, ([], [], []))
             else:
-                with telemetry.span("stream_precompute", side="i"):
-                    cached = _compute_iside(trace, config, warm)
+                cached = _precompute("i", trace, config, warm)
                 _save_sidecar(trace, ikey, None, cached[0])
             cache[ikey] = cached
         return cached[0]
@@ -439,24 +483,23 @@ def get_streams(trace, config, warm=True):
     # both sit in front of the compute passes, so a process (or
     # machine) that has seen this fingerprint before never runs
     # stream_precompute at all.
-    dkey0 = _dside_key(config)
+    dkey = _dside_key(config)
     fcache = getattr(trace, "_fe_final", None)
     if fcache is None:
         fcache = {}
         trace._fe_final = fcache
-    fkey = (ikey, dkey0)
+    fkey = (ikey, dkey)
     st = fcache.get(fkey)
     if st is not None:
         return st
-    st = _load_sidecar(trace, ikey, dkey0)
+    st = _load_sidecar(trace, ikey, dkey)
     if st is not None:
         fcache[fkey] = st
         return st
 
     cached = cache.get(ikey)
     if cached is None:
-        with telemetry.span("stream_precompute", side="i"):
-            cached = _compute_iside(trace, config, warm)
+        cached = _precompute("i", trace, config, warm)
         cache[ikey] = cached
     base, iside_events = cached
 
@@ -464,23 +507,13 @@ def get_streams(trace, config, warm=True):
     if dcache is None:
         dcache = {}
         trace._fe_dside = dcache
-    dkey = _dside_key(config)
     dside = dcache.get(dkey)
     if dside is None:
-        with telemetry.span("stream_precompute", side="d"):
-            dside = _compute_dside(trace, config)
+        dside = _precompute("d", trace, config)
         dcache[dkey] = dside
     l1d_sets, dpos, daddr = dside
 
-    mcache = getattr(trace, "_fe_merged", None)
-    if mcache is None:
-        mcache = {}
-        trace._fe_merged = mcache
-    mkey = (ikey, dkey)
-    merged = mcache.get(mkey)
-    if merged is None:
-        merged = _merge_warm_events(iside_events, (dpos, daddr))
-        mcache[mkey] = merged
+    merged = _merge_warm_events(iside_events, (dpos, daddr))
 
     # Memoize the assembled warm-streams object itself (not just its
     # parts) so per-stream caches — the numpy kernel's event tables —
@@ -494,6 +527,6 @@ def get_streams(trace, config, warm=True):
     st.l1d_sets = l1d_sets
     st.l2_addrs, st.l2_pfs = merged
     st.kernel = None
-    fcache[mkey] = st
+    fcache[fkey] = st
     _save_sidecar(trace, ikey, dkey, st)
     return st

@@ -429,6 +429,27 @@ def test_cold_synthesis_splits_solve_and_emit(tmp_path):
     assert "dense LU" in telemetry.render_report(report)
 
 
+def test_report_tabulates_the_stream_precompute_path(tmp_path):
+    from repro.uarch import gem5_baseline
+    from repro.uarch.core.streams import get_streams, stream_path
+
+    trace, _ = Runner(cache_dir=tmp_path / "r", trace_store=False) \
+        .trace_for("ar", scale="tiny", budget=4000)
+    with telemetry.span("job") as root:
+        for bp in ("local", "ltage"):
+            get_streams(trace, gem5_baseline(branch_predictor=bp))
+    records = [
+        {"type": "run", "label": "bp"},
+        {"type": "job", "workload": "ar", "label": "bp", "model": "cycle",
+         "cached": False, "seconds": root.seconds, "spans": root.as_dict()},
+    ]
+    path = tmp_path / "bp.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    report = telemetry.build_report(str(path))
+    assert report["streams"] == {stream_path(): {"i-side": 2, "d-side": 1}}
+    assert "stream precompute" in telemetry.render_report(report)
+
+
 # ----------------------------------------------------------------------
 # Trace-store counter sidecar
 # ----------------------------------------------------------------------
