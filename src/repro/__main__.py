@@ -626,8 +626,8 @@ def _add_backend_arg(p):
                    default=None,
                    help="cycle-tier execution backend (default: "
                         "REPRO_CYCLE_BACKEND, then the fastest available: "
-                        "native with a C compiler, else python); every "
-                        "backend is bit-identical, so results and "
+                        "native with a C compiler, else python); both "
+                        "backends are bit-identical, so results and "
                         "cache keys do not depend on it")
 
 

@@ -14,8 +14,8 @@ mentions must be a key there *and* appear in the README env table;
 a name in neither is a dead or undocumented knob and fails
 ``repro lint``.
 
-``REPRO_CYCLE_BACKEND`` never changes results or store keys: every
-backend is bit-identical on the configurations it accepts, and a
+``REPRO_CYCLE_BACKEND`` never changes results or store keys: both
+backends are bit-identical on the configurations they accept, and a
 config a backend cannot represent exactly routes to ``python`` (with a
 one-line warning when the backend was requested explicitly; see
 :mod:`repro.uarch.core.backends`).
@@ -55,11 +55,10 @@ KNOBS = {
                     "no faults",
     "REPRO_TELEMETRY": "spans/metrics switch; fallback on",
     "REPRO_TELEMETRY_DIR": "run-journal directory; fallback no journals",
-    "REPRO_CYCLE_BACKEND": "cycle-tier execution backend (python, numpy, "
+    "REPRO_CYCLE_BACKEND": "cycle-tier execution backend (python, "
                            "native); default fastest available (native, "
                            "else python); invalid value falls back to "
                            "python",
-    "REPRO_STREAMS": "front-end stream precompute switch; fallback on",
     "REPRO_NATIVE_CACHE_DIR": "compiled-kernel .so cache; fallback "
                               "per-user temp dir",
 }

@@ -1,15 +1,15 @@
-"""Staged out-of-order core model with selectable fidelity tiers.
+"""Out-of-order core model with selectable fidelity tiers.
 
 Two tiers share one entry point:
 
 * ``model="cycle"`` — the cycle-accurate pipeline
   (:class:`CycleCore`) over a shared :class:`CoreState`, with TMA slot
   accounting and hotspot sampling as pluggable :class:`Observer`
-  instances.  Its loop runs on a selectable backend: by default the
-  compiled ``native`` kernel, which also runs the D-side cache
-  hierarchy in C, where a C toolchain exists, else the ``python``
-  golden-reference loop.  Bit-identical to the pre-split monolithic
-  simulator on every backend.
+  instances.  Its loop runs on one of two backends: the compiled
+  ``native`` kernel, which also runs the D-side cache hierarchy in C
+  and is the default wherever a C toolchain exists, or the fused
+  ``python`` loop, which is the reference every result is pinned
+  against.  Both are bit-identical to the seed simulator.
 * ``model="interval"`` — a vectorized interval model
   (:func:`simulate_interval`): batched cache/TLB/branch estimation
   over NumPy arrays plus an analytical cycle estimate.  Roughly an
@@ -19,24 +19,16 @@ Two tiers share one entry point:
 
 from __future__ import annotations
 
-from .commit import Commit
 from .cycle import CycleCore
-from .dispatch import Dispatch
-from .frontend import FrontEnd
 from .interval import (INTERVAL_SCAN_MARGIN, INTERVAL_VERSION,
                        simulate_interval)
-from .issue import IssueQueue
 from .observers import HotspotSampler, Observer, TMASlotClassifier
 from .state import CoreState, functional_warmup
 
 __all__ = [
-    "Commit",
     "CoreState",
     "CycleCore",
-    "Dispatch",
-    "FrontEnd",
     "HotspotSampler",
-    "IssueQueue",
     "MODELS",
     "Observer",
     "TIER_LADDER",
@@ -86,14 +78,14 @@ def simulate(trace, config, max_cycles=None, warm=True, model="cycle",
     """Run ``trace`` through a core configured by ``config``.
 
     ``model`` selects the fidelity tier: ``"cycle"`` (default) steps
-    the staged pipeline cycle by cycle; ``"interval"`` runs the
+    the pipeline cycle by cycle; ``"interval"`` runs the
     vectorized analytical model (``max_cycles`` and ``observers`` do
     not apply).  ``warm=True`` performs a functional warmup pass first
     so counters reflect steady-state behavior rather than cold-start
     compulsory misses.  ``backend`` picks the cycle-loop execution
     backend (default: ``REPRO_CYCLE_BACKEND``, then the fastest
-    available: ``native`` with a C toolchain, else ``python``); every
-    backend is bit-identical, so results are backend-independent.
+    available: ``native`` with a C toolchain, else ``python``); both
+    backends are bit-identical, so results are backend-independent.
     Returns a fully populated :class:`~repro.uarch.stats.SimStats`.
     """
     from ... import telemetry

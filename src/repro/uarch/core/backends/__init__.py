@@ -1,23 +1,21 @@
 """Selectable cycle-tier execution backends.
 
-The cycle tier's per-op state transition can run under more than one
-implementation.  ``python`` is the golden reference — the fused stream
-loop (and its per-op sibling) whose outputs are pinned bit-for-bit by
-the committed golden fixtures.  ``native`` is a straight C
-transcription of the fused loop, compiled on demand with the system C
-compiler into a content-addressed shared object and driven through
-``ctypes``; it runs the D-side hierarchy (L1D, shared L2, optional L3,
-DRAM counters) in C as well, behind one narrow request/response port
-that reproduces the Python hierarchy step for step.  ``numpy``
-reformulates the transition as a batched event-queue pass over the
-precomputed front-end streams; it is opt-in only.
+The cycle tier's per-op state transition has two implementations.
+``python`` is the reference — the fused stream loop (and its per-op
+sibling) whose outputs are pinned bit-for-bit by the committed golden
+fixtures.  ``native`` is a straight C transcription of the fused loop,
+compiled on demand with the system C compiler into a
+content-addressed shared object and driven through ``ctypes``; it runs
+the D-side hierarchy (L1D, shared L2, optional L3, DRAM counters) in C
+as well, behind one narrow request/response port that reproduces the
+Python hierarchy step for step.
 
 Selection is explicit (``CycleCore(..., backend=...)``,
 ``simulate(..., backend=...)``, ``repro ... --cycle-backend``) or
 environment-driven (``REPRO_CYCLE_BACKEND``).  With neither, a run
-uses the fastest available backend, :func:`best_backend`: ``native``
-where a C toolchain exists, else ``python``.  Because every backend is
-bit-identical on the configurations it accepts, the backend is **not**
+uses the faster available backend, :func:`best_backend`: ``native``
+where a C toolchain exists, else ``python``.  Because both backends are
+bit-identical on the configurations they accept, the backend is **not**
 part of the result-store key: a run a backend cannot represent exactly
 (no streams, custom observers, a hand-stepped state, no toolchain)
 routes to ``python`` instead of producing different bits under the
@@ -145,7 +143,7 @@ def select_backend(requested, streams, default_observers, explicit=True):
     return fall_back(requested, reason, explicit)
 
 
-BACKEND_NAMES = ("python", "numpy", "native")
+BACKEND_NAMES = ("python", "native")
 
 
 def best_backend():
@@ -153,9 +151,7 @@ def best_backend():
 
     ``native`` where a C toolchain exists, else the dependency-free
     ``python`` reference.  Correctness is identical everywhere, so
-    "best" is purely a speed ranking.  ``numpy`` is never chosen here:
-    ``native`` beats it on every config, and it builds per-op lists and
-    event tables, so it runs only when asked for.
+    "best" is purely a speed ranking.
     """
     if _REGISTRY["native"].available():
         return "native"
@@ -165,5 +161,4 @@ def best_backend():
 # Import order matters only for registration; python is the reference
 # and the fallback, so it registers first.
 from . import python_ref  # noqa: E402,F401
-from . import numpy_ev  # noqa: E402,F401
 from . import native  # noqa: E402,F401

@@ -3,12 +3,12 @@
  * the system toolchain (see native.py).
  *
  * Structure mirrors the reference exactly — commit, issue (branch
- * prepass + windowed scan), dispatch, fetch — over the contiguous-
- * range state representation shared with the numpy backend: the ROB is
- * [committed, disp_next), the fetch buffer [disp_next, fetch_idx), and
- * only the out-of-order issue queue is a real array.  The default
- * observers (TMA slot classification, hotspot clockticks) are folded
- * into plain counters, byte-for-byte the way numpy_ev folds them.
+ * prepass + windowed scan), dispatch, fetch — over a contiguous-range
+ * state representation: the ROB is [committed, disp_next), the fetch
+ * buffer [disp_next, fetch_idx), and only the out-of-order issue queue
+ * is a real array.  The default observers (TMA slot classification,
+ * hotspot clockticks) are folded into plain counters that end equal to
+ * what the Python observers accumulate.
  *
  * The D-side hierarchy (L1D, the shared L2, the optional L3 and the
  * DRAM counters) is a port in this file: one `dside_t` per call that

@@ -1,9 +1,9 @@
 """The ``native`` cycle backend: the fused loop compiled as C.
 
 ``_cycle_kernel.c`` is a line-for-line transcription of the reference
-fused stream loop (``python_ref._run_fused``) over the contiguous-range
-state representation, with the default observers folded into counters
-exactly the way the ``numpy`` kernel folds them.  It is compiled on
+fused stream loop (``python_ref._run_fused``) over a contiguous-range
+state representation, with the default observers (TMA slots, hotspot
+clockticks) folded into plain counters.  It is compiled on
 demand with whatever C compiler the host already has (``cc``/``gcc``/
 ``clang`` — no build-time dependency) into a content-addressed shared
 object and loaded through :mod:`ctypes`, by :mod:`repro.nativelib`.

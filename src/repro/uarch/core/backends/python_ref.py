@@ -1,18 +1,19 @@
 """The ``python`` cycle backend: the golden-reference fused loops.
 
-Two flat cycle loops — one per front-end flavor — each a verbatim
-inlining of ``Commit``/``IssueQueue``/``Dispatch`` plus the matching
-front end.  :func:`_run_fused` is the golden reference every other
-backend is pinned against; the staged classes are per-stage
-expositions of the same loop that no backend ticks.  The committed
-golden fixtures pin these loops against the seed simulator, and
-``tests/test_streams.py`` pins the two front-end flavors against each
-other bit for bit.
+Two flat cycle loops, one per front-end flavor.  Each cycle runs the
+four pipeline stages in retire-to-fetch order — commit, issue,
+dispatch, fetch — over one :class:`~repro.uarch.core.state.CoreState`.
+:func:`_run_fused` (stream-backed front end) is the reference the
+``native`` backend is pinned against; :func:`_run_fused_perop` queries
+the live ITLB/L1I/predictor instead, and runs when streams are off or
+cannot be computed.  The committed golden fixtures pin these loops
+against the seed simulator, and ``tests/test_streams.py`` pins the two
+front-end flavors against each other bit for bit.
 
 Observer-visible fields (cycle, dispatched, block_reason, fetch state)
 are published to the ``CoreState`` before each hook point, and all
 mutated registers are written back on exit — normal or exceptional —
-so callers see exactly what the staged loop leaves.
+so a caller can stop a run (``s.limit``) and resume it later.
 """
 
 from __future__ import annotations
@@ -293,13 +294,15 @@ def _run_fused(s, dispatch_hooks, cycle_end_hooks):
 
 
 def _run_fused_perop(s, dispatch_hooks, cycle_end_hooks):
-    """One flat cycle loop for the per-op (``REPRO_STREAMS=0``) path.
+    """One flat cycle loop for the per-op (``streams=False``) path.
 
-    The same verbatim inlining as :func:`_run_fused`, but the fetch
-    stage queries the live ITLB/L1I/predictor objects per op exactly as
-    :class:`~repro.uarch.core.frontend.FrontEnd` does — this is the
-    parity baseline, and before this loop existed it was the slowest
-    path in CI (staged classes, seven calls per cycle).
+    The same loop as :func:`_run_fused`, but the fetch stage queries
+    the live ITLB/L1I/predictor objects per op instead of reading the
+    precomputed streams: every new fetch line translates through the
+    ITLB and looks up L1I (a miss walks L2 and below and probes the
+    next line for the prefetcher), and every branch is predicted and
+    updated in program order.  It is the parity baseline for the
+    streams themselves.
     """
     kinds = s.kinds
     addrs = s.addrs

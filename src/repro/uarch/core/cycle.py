@@ -1,22 +1,18 @@
-"""The cycle-accurate tier: staged OoO core driver.
+"""The cycle-accurate tier: the out-of-order core driver.
 
 ``CycleCore`` builds one :class:`~repro.uarch.core.state.CoreState`
-and hands the cycle loop to a selectable execution backend
-(:mod:`.backends`): ``native`` — the on-demand-compiled C transcription
-of the fused loop with the D-side hierarchy in C, the default wherever
-a C toolchain exists — ``python`` — the fused loops of
-:mod:`.backends.python_ref`, the golden reference and the fallback — or
-the opt-in ``numpy`` event-queue kernel.  Every backend steps the same
-state in the same retire-to-fetch order (commit, issue, dispatch,
-fetch) and is bit-identical to the pre-refactor ``pipeline.simulate`` —
-verified against committed golden fixtures for every gem5 workload —
-which is why the backend choice never appears in result-store keys.
-
-The fused ``python_ref`` loop is the golden reference that
-``tests/test_streams.py`` and ``tests/test_backends.py`` pin every
-execution path against.  The staged classes (:class:`FrontEnd`,
-:class:`Dispatch`, :class:`IssueQueue`, :class:`Commit`) are readable
-per-stage expositions of that loop; no backend ticks them.
+and hands the cycle loop to one of two execution backends
+(:mod:`.backends`).  ``python`` runs the fused loops of
+:mod:`.backends.python_ref`; the stream-backed ``_run_fused`` loop is
+the reference, pinned to the committed golden fixtures for every gem5
+workload, and ``python`` is also the fallback target.  ``native`` is
+the on-demand-compiled C transcription of that loop with the D-side
+hierarchy in C, and the default wherever a C toolchain exists.  Both
+step the same state in the same retire-to-fetch order (commit, issue,
+dispatch, fetch) and produce the same bits, which is why the backend
+choice never appears in result-store keys; ``tests/test_backends.py``
+and ``tests/test_streams.py`` pin every execution path to the
+reference.
 """
 
 from __future__ import annotations
@@ -24,10 +20,6 @@ from __future__ import annotations
 from ... import telemetry
 from ..stats import SimStats
 from . import backends as cycle_backends
-from .commit import Commit
-from .dispatch import Dispatch
-from .frontend import FrontEnd, StreamFrontEnd
-from .issue import IssueQueue
 from .observers import HotspotSampler, TMASlotClassifier
 from .state import CoreState
 from .streams import get_streams
@@ -36,13 +28,13 @@ __all__ = ["CycleCore"]
 
 
 class CycleCore:
-    """A staged out-of-order core over one trace + config pair.
+    """An out-of-order core over one trace + config pair.
 
     ``streams="auto"`` (the default) precomputes the timing-independent
     I-side machinery outcomes once per (trace, I-side fingerprint) and
     runs the stream-backed front end — bit-identical, roughly halving
-    the per-op machinery work.  Pass ``streams=False`` (or set
-    ``REPRO_STREAMS=0``) to force the reference per-op front end.
+    the per-op machinery work.  Pass ``streams=False`` to run the
+    per-op front end, which queries the live ITLB/L1I/predictor.
 
     ``backend`` selects the cycle-loop implementation (default: the
     ``REPRO_CYCLE_BACKEND`` environment knob, then the fastest
@@ -83,11 +75,6 @@ class CycleCore:
             self.state = CoreState(trace, config, self.stats,
                                    max_cycles=max_cycles, warm=warm,
                                    streams=streams)
-        self.frontend = StreamFrontEnd() if streams is not None \
-            else FrontEnd()
-        self.dispatch = Dispatch()
-        self.issue = IssueQueue()
-        self.commit = Commit()
         self.observers = (list(observers) if observers is not None
                           else [TMASlotClassifier(), HotspotSampler()])
         requested, self._explicit = \

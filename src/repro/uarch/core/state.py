@@ -1,7 +1,7 @@
 """Shared core state and the functional warmup pass.
 
-``CoreState`` is the single mutable object the pipeline stages operate
-on: the decoded trace (plain Python lists — the cycle loop's hot path),
+``CoreState`` is the single mutable object a cycle loop operates on:
+the decoded trace (plain Python lists — the cycle loop's hot path),
 the microarchitectural structures (ROB, IQ, fetch buffer, LSQ
 occupancy), the memory machinery (cache hierarchy, ITLB, branch
 predictor), and the per-cycle handoff fields each stage publishes for
@@ -13,10 +13,10 @@ lookups): the interpreted loops read them, while the ``native`` kernel
 reads the trace's own columns and runs its own D-side port, so a
 native run never pays for either.
 
-Keeping every field on one ``__slots__`` object — rather than spread
-across stage instances — is what lets the staged simulator reproduce
-the monolithic loop bit for bit: stages read and write the same state
-in the same order the single function did.
+Keeping every field on one ``__slots__`` object is what lets
+observers read the handoff fields at their hook points and lets a
+stopped run resume: a state that was already stepped (see
+:meth:`CoreState.is_fresh`) finishes on the ``python`` loop.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from ..tlb import TLB
 KIND_KEY_LIST = ["int", "fp", "fp", "fp", "load", "store", "branch",
                  "pause"]
 
-# The integer codes the native and numpy kernels use for
+# The integer codes the native kernel uses for
 # `CoreState.fetch_stall_kind` and `CoreState.block_reason` (code =
 # index).
 FS_NAMES = (None, "icache", "tlb")
@@ -252,7 +252,7 @@ class CoreState:
         return self.__dict__.get("hier")
 
     def is_fresh(self):
-        """True until a stage or a backend has stepped this state."""
+        """True until a cycle loop has stepped this state."""
         return not (self.cycle or self.committed or self.fetch_idx
                     or self.rob or self.fbuf or self.iq)
 

@@ -13,13 +13,15 @@ fingerprint)`` and records, per op:
   next-line prefetcher will probe the shared L2,
 * whether the branch predictor disagrees with the recorded outcome.
 
-``StreamFrontEnd`` (:mod:`.frontend`) then consumes plain list lookups
-instead of calling into ``Cache``/``TLB``/predictor objects.  The one
-coupling that is *not* timing-independent — L1I misses spilling into
-the shared L2, whose state interleaves with D-side traffic — is kept
-live: the stream only decides *that* a miss happens; the L2-and-below
-walk still executes inside the fetch loop, at the same point the
-non-stream front end would issue it, so L2/L3 state stays bit-exact.
+The cycle loops' stream-backed fetch stage (``_run_fused`` in
+:mod:`.backends.python_ref` and its C transcription) then consumes
+plain list lookups instead of calling into ``Cache``/``TLB``/predictor
+objects.  The one coupling that is *not* timing-independent — L1I
+misses spilling into the shared L2, whose state interleaves with
+D-side traffic — is kept live: the stream only decides *that* a miss
+happens; the L2-and-below walk still executes inside the fetch loop,
+at the same point the per-op front end would issue it, so L2/L3 state
+stays bit-exact.
 
 Functional warmup decomposes the same way: the warmed L1I/ITLB/branch
 state is I-side-only, the warmed L1D state is D-side-only (keyed by
@@ -30,8 +32,9 @@ accesses instead of a full per-op walk.
 
 Streams attach to the (immutable) trace object, so every config in a
 sweep that shares I-side parameters — the entire ROB/IQ, width, L2 and
-frequency grids — reuses one precompute.  ``REPRO_STREAMS=0`` disables
-the whole mechanism, falling back to the per-op front end.
+frequency grids — reuses one precompute.  ``CycleCore(...,
+streams=False)`` bypasses the whole mechanism and runs the per-op
+front end.
 
 When the trace came through the persistent trace store, the assembled
 streams are additionally persisted next to the trace ``.npz`` as a
@@ -57,31 +60,21 @@ same streams bit for bit, so there is no knob.  Each computation bumps
 from __future__ import annotations
 
 import hashlib
-import os
 
 import numpy as np
 
-from ...env import env_flag
 from ...trace.ops import BRANCH, LOAD, STORE
 from ...trace.store import STREAM_SUFFIX
 from ..branch import make_predictor
 from ..cache import Cache
 from ..tlb import TLB
 
-__all__ = ["FrontEndStreams", "STREAM_FORMAT_VERSION", "get_streams",
-           "streams_enabled"]
-
-STREAMS_ENV = "REPRO_STREAMS"
+__all__ = ["FrontEndStreams", "STREAM_FORMAT_VERSION", "get_streams"]
 
 # Bump whenever the on-disk sidecar layout or the *content* computed
 # for a given (trace, fingerprint) can change; old sidecars then miss
 # under the new name and are recomputed + rewritten.
 STREAM_FORMAT_VERSION = 1
-
-
-def streams_enabled():
-    """False when ``REPRO_STREAMS`` is set to 0/false/off."""
-    return env_flag(STREAMS_ENV, default=True)
 
 
 def _iside_key(config, warm):
@@ -105,13 +98,6 @@ class FrontEndStreams:
         "l1i_accesses", "l1i_misses", "bp_lookups", "bp_mispredicts",
         # warm-state restoration payload (None for cold runs)
         "warm", "l1d_sets", "l2_addrs", "l2_pfs",
-        # lazily-built cycle-kernel caches (backends/numpy_ev event
-        # tables), a per-backend dict cached here so every job sharing
-        # this fingerprint reuses one build.  The precompute never
-        # fills it: the C passes (`_streams.c`) and their Python
-        # fallback both produce only the fields above, as bytearrays
-        # and int lists.
-        "kernel",
     )
 
     def apply_warm(self, hier):
@@ -267,7 +253,6 @@ def _compute_iside(trace, config, warm):
     st.l1d_sets = None
     st.l2_addrs = None
     st.l2_pfs = None
-    st.kernel = None
     return st, (warm_pos, warm_addr, warm_pf)
 
 
@@ -434,7 +419,6 @@ def _load_sidecar(trace, ikey, dkey):
         st.l1d_sets = None
         st.l2_addrs = None
         st.l2_pfs = None
-        st.kernel = None
         if st.warm:
             tags = cols["l1d_tags"].tolist()
             sets = []
@@ -453,13 +437,10 @@ def _load_sidecar(trace, ikey, dkey):
 def get_streams(trace, config, warm=True):
     """The (cached) front-end streams for a trace/config pair.
 
-    Returns ``None`` when streams are disabled via ``REPRO_STREAMS`` —
-    callers then use the per-op front end.  Results are memoized on the
-    trace object: one I-side walk per distinct I-side fingerprint, one
-    D-side walk per L1D geometry, shared by every config in a sweep.
+    Results are memoized on the trace object: one I-side walk per
+    distinct I-side fingerprint, one D-side walk per L1D geometry,
+    shared by every config in a sweep.
     """
-    if not streams_enabled():
-        return None
     cache = getattr(trace, "_fe_streams", None)
     if cache is None:
         cache = {}
@@ -516,9 +497,8 @@ def get_streams(trace, config, warm=True):
     merged = _merge_warm_events(iside_events, (dpos, daddr))
 
     # Memoize the assembled warm-streams object itself (not just its
-    # parts) so per-stream caches — the numpy kernel's event tables —
-    # survive across every job sharing this fingerprint, and persist
-    # it so every later process skips the compute passes above.
+    # parts) so every job sharing this fingerprint reuses it, and
+    # persist it so every later process skips the compute passes above.
     st = FrontEndStreams()
     for name in ("l1i_hit", "pf_l2", "itlb_miss", "bp_wrong",
                  "l1i_accesses", "l1i_misses", "bp_lookups",
@@ -526,7 +506,6 @@ def get_streams(trace, config, warm=True):
         setattr(st, name, getattr(base, name))
     st.l1d_sets = l1d_sets
     st.l2_addrs, st.l2_pfs = merged
-    st.kernel = None
     fcache[fkey] = st
     _save_sidecar(trace, ikey, dkey, st)
     return st

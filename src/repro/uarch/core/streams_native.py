@@ -169,7 +169,6 @@ def iside_pass(lib, trace, config, warm, desc):
     st.l1d_sets = None
     st.l2_addrs = None
     st.l2_pfs = None
-    st.kernel = None
     nw = int(out[O_NWARM])
     return st, (warm_pos[:nw].tolist(), warm_addr[:nw].tolist(),
                 warm_pf[:nw].tolist())

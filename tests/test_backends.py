@@ -1,12 +1,12 @@
 """Cycle-backend matrix: golden parity, capability fallback, store keys.
 
-Every registered backend must produce bit-identical ``SimStats`` — the
+Both registered backends must produce bit-identical ``SimStats`` — the
 contract that keeps ``REPRO_CYCLE_BACKEND`` out of the result-store
 key.  The matrix pins each backend against the committed seed golden
-fixtures (six gem5 workloads, warm and cold) and against the reference
-on the host-i9 L3/LTAGE config; backends that cannot represent a run
-(no streams, custom observers, missing toolchain) must route to
-``python`` with a one-line warning rather than diverge.
+fixtures (six gem5 workloads, warm and cold) and ``native`` against the
+``python`` reference on the host-i9 L3/LTAGE config; a run ``native``
+cannot represent (no streams, custom observers, missing toolchain) must
+route to ``python`` with a one-line warning rather than diverge.
 """
 
 import pytest
@@ -44,7 +44,7 @@ def test_backend_matches_seed_golden(backend, workload, mode):
     assert got == want, f"{backend}/{workload}/{mode} diverges in {mismatched}"
 
 
-@pytest.mark.parametrize("backend", ("numpy", "native"))
+@pytest.mark.parametrize("backend", ("native",))
 @pytest.mark.parametrize("workload", ("ar", "ma"))
 @pytest.mark.parametrize("warm", (True, False))
 def test_backend_matches_reference_on_host_i9(backend, workload, warm):
@@ -58,14 +58,14 @@ def test_backend_matches_reference_on_host_i9(backend, workload, warm):
     assert got == ref, f"{backend} diverges on host-i9 in {diffs}"
 
 
-@pytest.mark.parametrize("backend", ("numpy", "native"))
-def test_non_stream_run_falls_back_bit_exactly(backend, monkeypatch):
-    # REPRO_STREAMS=0 removes the representation the compiled kernels
-    # need; the run must still match golden, via the python fallback.
+@pytest.mark.parametrize("backend", ("native",))
+def test_non_stream_run_falls_back_bit_exactly(backend):
+    # streams=False removes the representation the compiled kernel
+    # needs; the run must still match golden, via the python fallback.
     _require(backend)
-    monkeypatch.setenv("REPRO_STREAMS", "0")
     trace = gem5_traces()["ar"]
-    core = CycleCore(trace, gem5_baseline(), backend=backend)
+    core = CycleCore(trace, gem5_baseline(), streams=False,
+                     backend=backend)
     assert core.backend == "python"
     assert core.backend_fallback is not None
     got = core.run().as_dict()
@@ -77,7 +77,7 @@ def test_non_stream_run_falls_back_bit_exactly(backend, monkeypatch):
 # ----------------------------------------------------------------------
 class TestFallback:
     def test_custom_observers_route_to_python(self):
-        _require("numpy")
+        _require("native")
         from repro.uarch.core.observers import Observer
 
         class Probe(Observer):
@@ -86,33 +86,43 @@ class TestFallback:
 
         trace = gem5_traces()["ar"]
         core = CycleCore(trace, gem5_baseline(), observers=[Probe()],
-                         backend="numpy")
+                         backend="native")
         assert core.backend == "python"
         assert "observers" in core.backend_fallback
 
     def test_fallback_warns_once(self, monkeypatch, capsys):
-        _require("numpy")
+        _require("native")
         from repro import env as env_mod
 
         monkeypatch.setattr(env_mod, "_WARNED", set())
         _, name, reason = cycle_backends.select_backend(
-            "numpy", streams=None, default_observers=True)
+            "native", streams=None, default_observers=True)
         assert name == "python"
         assert reason is not None
         err = capsys.readouterr().err
         assert "falling back to python" in err
         # Same condition again: warn_once stays quiet.
-        cycle_backends.select_backend("numpy", streams=None,
+        cycle_backends.select_backend("native", streams=None,
                                       default_observers=True)
         assert "falling back" not in capsys.readouterr().err
 
-    def test_invalid_env_value_uses_default(self, monkeypatch):
+    def test_invalid_env_value_uses_default(self, monkeypatch, capsys):
+        # "numpy" named a backend that has since been deleted: a stale
+        # setting is just another invalid value.
         from repro import env as env_mod
 
-        monkeypatch.setattr(env_mod, "_WARNED", set())
-        monkeypatch.setenv(cycle_backends.BACKEND_ENV, "fortran")
-        assert cycle_backends.backend_from_env() == \
-            cycle_backends.DEFAULT_BACKEND
+        trace = gem5_traces()["ar"]
+        for value in ("fortran", "numpy"):
+            monkeypatch.setattr(env_mod, "_WARNED", set())
+            monkeypatch.setenv(cycle_backends.BACKEND_ENV, value)
+            assert cycle_backends.backend_from_env() == \
+                cycle_backends.DEFAULT_BACKEND
+            core = CycleCore(trace, gem5_baseline())
+            assert (core.backend, core.backend_fallback) == ("python",
+                                                             None)
+            err = capsys.readouterr().err
+            assert err.count(f"invalid {cycle_backends.BACKEND_ENV}="
+                             f"{value!r}") == 1, err
 
     def test_unknown_backend_name_rejected(self):
         with pytest.raises(ValueError, match="unknown cycle backend"):
@@ -124,11 +134,13 @@ class TestFallback:
 # ----------------------------------------------------------------------
 class TestSelection:
     def test_env_knob_selects_backend(self, monkeypatch):
-        _require("numpy")
-        monkeypatch.setenv(cycle_backends.BACKEND_ENV, "numpy")
+        # python is never the default where a compiler exists, so only
+        # the knob can have picked it.
+        monkeypatch.setenv(cycle_backends.BACKEND_ENV, "python")
         trace = gem5_traces()["ar"]
         core = CycleCore(trace, gem5_baseline())
-        assert core.backend == "numpy"
+        assert core.backend == "python"
+        assert core.backend_fallback is None
 
     def test_python_always_available(self):
         assert "python" in cycle_backends.available_backends()
@@ -220,14 +232,14 @@ class TestDefaultBackend:
         from repro import env as env_mod
 
         monkeypatch.setattr(env_mod, "_WARNED", set())
-        monkeypatch.setenv("REPRO_STREAMS", "0")
         before = _fallbacks("no-streams")
         if via == "env":
             monkeypatch.setenv(cycle_backends.BACKEND_ENV, "native")
-            core = CycleCore(gem5_traces()["ar"], gem5_baseline())
+            core = CycleCore(gem5_traces()["ar"], gem5_baseline(),
+                             streams=False)
         else:
             core = CycleCore(gem5_traces()["ar"], gem5_baseline(),
-                             backend="native")
+                             streams=False, backend="native")
         assert (core.backend, core.backend_fallback) == ("python",
                                                          "no-streams")
         assert _fallbacks("no-streams") == before + 1

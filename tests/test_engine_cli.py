@@ -159,3 +159,13 @@ def test_study_rejects_bad_axis(cache_dir, capsys):
     rc = main(["study", "warp_factor=9", "--quiet"])
     assert rc == 2
     assert "unknown axis" in capsys.readouterr().err
+
+
+def test_removed_numpy_backend_is_rejected(cache_dir, capsys):
+    # The numpy cycle backend was deleted; asking for it by flag is a
+    # usage error, not a silent fallback.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "ar", "--scale", "tiny", "--budget", "4000",
+              "--cycle-backend", "numpy"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'numpy'" in capsys.readouterr().err

@@ -4,8 +4,7 @@ import pytest
 
 from gem5_golden import gem5_traces
 from repro.uarch import CycleCore, gem5_baseline, host_i9
-from repro.uarch.core.frontend import FrontEnd, StreamFrontEnd
-from repro.uarch.core.streams import get_streams, streams_enabled
+from repro.uarch.core.streams import get_streams
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -56,18 +55,9 @@ class TestStreamParity:
 class TestStreamMachinery:
     def test_frontend_selection(self):
         trace = gem5_traces()["ar"]
-        assert isinstance(CycleCore(trace, gem5_baseline()).frontend,
-                          StreamFrontEnd)
-        assert isinstance(
-            CycleCore(trace, gem5_baseline(), streams=False).frontend,
-            FrontEnd)
-
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAMS", "0")
-        assert not streams_enabled()
-        trace = gem5_traces()["ar"]
-        core = CycleCore(trace, gem5_baseline())
-        assert isinstance(core.frontend, FrontEnd)
+        assert CycleCore(trace, gem5_baseline()).state.streams is not None
+        assert CycleCore(trace, gem5_baseline(),
+                         streams=False).state.streams is None
 
     def test_streams_cached_on_trace_across_configs(self):
         from repro.uarch.config import CacheConfig

@@ -1,4 +1,4 @@
-"""The staged `uarch.core` package: golden parity and stage structure.
+"""The `uarch.core` package: golden parity and core structure.
 
 The refactored cycle tier must be *bit-identical* to the monolithic
 seed simulator; ``tests/golden/gem5_simstats.json`` holds the seed's
@@ -122,11 +122,3 @@ class TestStagedCore:
         # ... only the sampled accounting disappears.
         assert bare.slots_retiring == 0
         assert bare.func_clockticks == {}
-
-    def test_pipeline_shim_still_importable(self):
-        from repro.uarch import pipeline
-
-        trace = _simple_trace(400)
-        a = pipeline.simulate(trace, gem5_baseline())
-        b = simulate(trace, gem5_baseline())
-        assert a.as_dict() == b.as_dict()
